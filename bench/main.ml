@@ -286,11 +286,10 @@ type opts = {
   tolerance : float;
   tables : bool;
   trace_file : string option;
-  tune_profile : string option;
 }
 
 let usage =
-  "usage: bench/main.exe [--quick] [--only A,B] [--shard I/N] [--json FILE] [--check BASELINE] [--tolerance PCT] [--no-tables] [--trace FILE] [--tune-profile FILE]"
+  "usage: bench/main.exe [--quick] [--only A,B] [--shard I/N] [--json FILE] [--check BASELINE] [--tolerance PCT] [--no-tables] [--trace FILE]"
 
 let parse_args () =
   let rec go opts = function
@@ -318,15 +317,13 @@ let parse_args () =
             exit 2)
     | "--no-tables" :: rest -> go { opts with tables = false } rest
     | "--trace" :: file :: rest -> go { opts with trace_file = Some file } rest
-    | "--tune-profile" :: file :: rest ->
-        go { opts with tune_profile = Some file } rest
     | arg :: _ ->
         Printf.eprintf "unknown argument %S\n%s\n" arg usage;
         exit 2
   in
   go
     { quick = false; only = []; shard = None; json_file = None; check = None;
-      tolerance = 25.0; tables = true; trace_file = None; tune_profile = None }
+      tolerance = 25.0; tables = true; trace_file = None }
     (List.tl (Array.to_list Sys.argv))
 
 let contains_substring haystack needle =
@@ -335,35 +332,7 @@ let contains_substring haystack needle =
   nn = 0 || at 0
 
 let () =
-  (* The harness takes no engine flag; OQSC_COMPILED=1 routes every
-     circuit in the kernels and tables through the lib/vm bytecode
-     interpreter (results are bit-identical; only timings move). *)
-  Vm.Engine.init_from_env ();
   let opts = parse_args () in
-  (* An oqsc-tune profile moves scheduling only; the per-kernel pins
-     below (set_parallel_threshold) still override it where a kernel
-     needs one fixed path. *)
-  (match
-     match opts.tune_profile with
-     | Some path -> Some path
-     | None -> (
-         match Sys.getenv_opt "OQSC_TUNE_PROFILE" with
-         | None | Some "" -> None
-         | some -> some)
-   with
-  | None -> ()
-  | Some path -> (
-      match
-        In_channel.with_open_text path In_channel.input_all
-        |> Experiments.Tune_doc.parse_string
-      with
-      | exception Sys_error msg ->
-          Printf.eprintf "--tune-profile: %s\n" msg;
-          exit 2
-      | Error msg ->
-          Printf.eprintf "--tune-profile %s: %s\n" path msg;
-          exit 2
-      | Ok profile -> Experiments.Tune_doc.apply profile));
   let tests =
     match opts.only with
     | [] -> tests

@@ -14,13 +14,7 @@
      merge - recombine a complete --shard document set into bytes
              identical to the unsharded run
      trace-lint - structurally validate an oqsc-trace document
-     tune  - sweep the kernel scheduling parameters with timed
-             micro-runs and emit an oqsc-tune profile document
-     tune-lint - validate an oqsc-tune profile (schema +
-             self-consistency against its telemetry)
      exp   - run one experiment (e1..e15) or all of them
-     vm    - list, disassemble, or run the bytecode-compiled machine
-             gallery (lib/vm)
      serve - long-lived batched experiment service (NDJSON on
              stdin/stdout, or length-prefixed frames on --socket);
              wire protocol in docs/PROTOCOL.md
@@ -34,40 +28,6 @@ open Mathx
 let read_input = function
   | "-" -> In_channel.input_all In_channel.stdin |> String.trim
   | path -> In_channel.with_open_text path In_channel.input_all |> String.trim
-
-(* ------------------------------------------------------- tune profiles *)
-
-(* Shared startup hook for the run commands: install an oqsc-tune
-   scheduling profile from --tune-profile, falling back to the
-   OQSC_TUNE_PROFILE environment variable.  Loading is all-or-nothing —
-   a profile that does not parse leaves every parameter untouched and
-   fails the command, so a typo can never half-apply. *)
-let load_tune_profile flag =
-  let install path =
-    match In_channel.with_open_text path In_channel.input_all with
-    | exception Sys_error msg -> Error ("--tune-profile: " ^ msg)
-    | raw -> (
-        match Experiments.Tune_doc.parse_string raw with
-        | Error msg ->
-            Error (Printf.sprintf "--tune-profile %s: %s" path msg)
-        | Ok profile ->
-            Experiments.Tune_doc.apply profile;
-            Ok ())
-  in
-  match flag with
-  | Some path -> install path
-  | None -> (
-      match Sys.getenv_opt "OQSC_TUNE_PROFILE" with
-      | None | Some "" -> Ok ()
-      | Some path -> install path)
-
-let tune_profile_arg =
-  Cmdliner.Arg.(
-    value
-    & opt (some string) None
-    & info [ "tune-profile" ] ~docv:"FILE"
-        ~doc:
-          "Load an oqsc-tune scheduling profile (written by 'oqsc tune'; spec in docs/SCHEMA.md) before running; also read from $(b,OQSC_TUNE_PROFILE) when the flag is absent. Profiles set parallel thresholds, chunk grains, and a domain cap — pure scheduling, so any valid profile leaves every output byte unchanged (CI cmp-enforces this).")
 
 (* ------------------------------------------------------------------ gen *)
 
@@ -230,19 +190,8 @@ let run_all_cmd =
           ~doc:
             "Run only shard I of N (0-based): the selected experiments are dealt round-robin by catalogue position, so the N shards partition the run and each shard's output is byte-stable. The JSON document carries a shard provenance field; recombine a complete shard set with 'oqsc merge'.")
   in
-  let compiled =
-    Arg.(
-      value & flag
-      & info [ "compiled" ]
-          ~doc:
-            "Execute circuits through the lib/vm bytecode engine instead of the gate-IR walker (also enabled by OQSC_COMPILED=1). Compiled programs are memoised per (experiment, seed, variant); results are bit-identical to the walker, so the --json document does not change — CI holds the two paths byte-equal.")
-  in
   let action quick seed only sequential domains json_file timing check tolerance quiet
-      trace_file shard compiled tune_profile =
-    match load_tune_profile tune_profile with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
-    if compiled then Vm.Engine.enable () else Vm.Engine.init_from_env ();
+      trace_file shard =
     let only =
       Option.map
         (fun s ->
@@ -375,8 +324,7 @@ let run_all_cmd =
     Term.(
       ret
         (const action $ quick $ seed $ only $ sequential $ domains $ json_file
-       $ timing $ check $ tolerance $ quiet $ trace_file $ shard $ compiled
-       $ tune_profile_arg))
+       $ timing $ check $ tolerance $ quiet $ trace_file $ shard))
 
 (* ---------------------------------------------------------- space-audit *)
 
@@ -429,10 +377,7 @@ let space_audit_cmd =
     | exception Sys_error msg -> `Error (false, "--json: " ^ msg)
     | () -> k ()
   in
-  let action quick seed json_file quiet timing shard tune_profile =
-    match load_tune_profile tune_profile with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
+  let action quick seed json_file quiet timing shard =
     match
       match shard with
       | None -> Ok None
@@ -489,8 +434,7 @@ let space_audit_cmd =
          "Sweep k, fit space-scaling exponents for the classical and quantum machines, and exit non-zero unless the classical slope lands in its n^(1/3) band and the quantum data prefers the logarithmic model.")
     Term.(
       ret
-        (const action $ quick $ seed $ json_file $ quiet $ timing $ shard
-       $ tune_profile_arg))
+        (const action $ quick $ seed $ json_file $ quiet $ timing $ shard))
 
 (* ---------------------------------------------------------------- merge *)
 
@@ -648,85 +592,6 @@ let exp_cmd =
     (Cmd.info "exp" ~doc:"Run one experiment (or all) and print its table.")
     Term.(ret (const action $ id $ quick $ seed))
 
-(* ------------------------------------------------------------------- vm *)
-
-(* The E15 machine gallery under the bytecode compiler: the same
-   programs the experiment compiles to real OPTMs, here lowered to flat
-   oqvm bytecode (golden-tested listings live in test/golden/). *)
-let vm_gallery : (string * (unit -> Machine.Program.t)) list =
-  [
-    ("parity", fun () -> Machine.Program.parity);
-    ("run-length-equal", fun () -> Machine.Program.run_length_equal ~width:5);
-    ("fingerprint-eq", fun () -> Machine.Program.fingerprint_eq ~p:17 ~t:3);
-    ("ldisj-shape", fun () -> Machine.Program.ldisj_shape ~width:7);
-    ("beacon", fun () -> Machine.Program.beacon);
-  ]
-
-let vm_cmd =
-  let what =
-    Arg.(
-      value
-      & pos 0 (enum [ ("list", `List); ("disasm", `Disasm); ("run", `Run) ]) `List
-      & info [] ~docv:"ACTION" ~doc:"list | disasm | run.")
-  in
-  let prog =
-    Arg.(
-      value
-      & pos 1 (some string) None
-      & info [] ~docv:"PROGRAM" ~doc:"Gallery program name (see 'oqsc vm list').")
-  in
-  let input =
-    Arg.(
-      value & opt string "-"
-      & info [ "input" ] ~docv:"FILE" ~doc:"Input file for run, or - for stdin.")
-  in
-  let action what prog input =
-    let with_program k =
-      match prog with
-      | None -> `Error (false, "vm: name a gallery program; try 'oqsc vm list'")
-      | Some n -> (
-          match List.assoc_opt n vm_gallery with
-          | None ->
-              `Error
-                ( false,
-                  Printf.sprintf "vm: unknown program %S; valid: %s" n
-                    (String.concat ", " (List.map fst vm_gallery)) )
-          | Some p -> k (Vm.Mcode.compile (p ())))
-    in
-    match what with
-    | `List ->
-        List.iter
-          (fun (n, p) ->
-            let c = Vm.Mcode.compile (p ()) in
-            Printf.printf "%-18s width %d  registers %d  instructions %3d  %4d bytes\n"
-              n (Vm.Mcode.width c) (Vm.Mcode.registers c)
-              (Vm.Mcode.instructions c) (Vm.Mcode.size c))
-          vm_gallery;
-        `Ok ()
-    | `Disasm -> with_program (fun c -> print_string (Vm.Mcode.disasm c); `Ok ())
-    | `Run ->
-        with_program (fun c ->
-            let w = read_input input in
-            let r = Vm.Mcode.run c w in
-            Printf.printf "verdict: %s\n"
-              (match r.Machine.Program.verdict with
-              | Some true -> "accept"
-              | Some false -> "reject"
-              | None -> "none (step cap)");
-            if r.Machine.Program.output <> "" then
-              Printf.printf "output: %s\n" r.Machine.Program.output;
-            Printf.printf "registers: [%s]\n"
-              (String.concat "; "
-                 (Array.to_list
-                    (Array.map string_of_int r.Machine.Program.final_registers)));
-            `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "vm"
-       ~doc:
-         "List, disassemble, or run the bytecode-compiled machine gallery (the same register programs e15 compiles to real OPTMs; the bytecode interpreter is step-for-step identical to Machine.Program.interpret).")
-    Term.(ret (const action $ what $ prog $ input))
-
 (* ---------------------------------------------------------------- serve *)
 
 let serve_cmd =
@@ -766,13 +631,6 @@ let serve_cmd =
           ~doc:
             "Socket transport: serve up to N concurrent connections (one thread per client); further connections wait in the listen backlog until a slot frees.")
   in
-  let compiled =
-    Arg.(
-      value & flag
-      & info [ "compiled" ]
-          ~doc:
-            "Dispatch machine-backed experiments through the bytecode-compiled engine; the process-wide compiled cache then stays warm across requests.")
-  in
   let trace_file =
     Arg.(
       value
@@ -797,12 +655,8 @@ let serve_cmd =
           ~doc:
             "Periodically (and at exit) write the metrics registry in Prometheus text exposition format to FILE, atomically via rename. The same snapshot a v2 metrics request serves as JSON.")
   in
-  let action socket queue batch domains max_clients compiled trace_file
-      log_file metrics_file tune_profile =
-    match load_tune_profile tune_profile with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
-    if compiled then Vm.Engine.enable () else Vm.Engine.init_from_env ();
+  let action socket queue batch domains max_clients trace_file log_file
+      metrics_file =
     if queue < 1 then `Error (false, "serve: --queue must be >= 1")
     else if batch < 1 then `Error (false, "serve: --batch must be >= 1")
     else if max_clients < 1 then
@@ -900,7 +754,7 @@ let serve_cmd =
     Term.(
       ret
         (const action $ socket $ queue $ batch $ domains $ max_clients
-       $ compiled $ trace_file $ log_file $ metrics_file $ tune_profile_arg))
+       $ trace_file $ log_file $ metrics_file))
 
 (* ---------------------------------------------------------- bench-serve *)
 
@@ -972,15 +826,8 @@ let bench_serve_cmd =
           ~doc:
             "Write every completed run/sweep payload as canonical pretty JSON to DIR/<request-id>.json — what CI compares byte-for-byte against one-shot CLI output.")
   in
-  let compiled =
-    Arg.(
-      value & flag
-      & info [ "compiled" ]
-          ~doc:"In-process mode: dispatch through the bytecode-compiled engine.")
-  in
   let action mix socket shutdown clients json_file repeat queue batch domains
-      payload_dir compiled =
-    if compiled then Vm.Engine.enable () else Vm.Engine.init_from_env ();
+      payload_dir =
     match Serve.Bench_serve.load_mix mix with
     | Error msg -> `Error (false, "bench-serve: " ^ msg)
     | Ok lines -> (
@@ -1027,7 +874,7 @@ let bench_serve_cmd =
     Term.(
       ret
         (const action $ mix $ socket $ shutdown $ clients $ json_file $ repeat
-       $ queue $ batch $ domains $ payload_dir $ compiled))
+       $ queue $ batch $ domains $ payload_dir))
 
 (* ------------------------------------------------------------------ ids *)
 
@@ -1059,107 +906,9 @@ let ids_cmd =
   in
   Cmd.v (Cmd.info "ids" ~doc:"List experiment ids.") Term.(const action $ const ())
 
-(* ----------------------------------------------------------------- tune *)
-
-let tune_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Sweep fewer sizes, grains, and rounds (seconds instead of a minute) — the CI setting.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 2006
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for the map_chunks micro-workload.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Cap the sweep at N domains and record the cap in the profile.")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the chosen profile as a canonical oqsc-tune v1 document to FILE (- for stdout), telemetry included.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress the summary table.")
-  in
-  let action quick seed domains json_file quiet =
-    let profile = Experiments.Tune.sweep ?domains ~quick ~seed () in
-    if not quiet then begin
-      (* --json - owns stdout: keep the human table off it *)
-      let fmt =
-        if json_file = Some "-" then Format.err_formatter
-        else Format.std_formatter
-      in
-      Experiments.Tune.render fmt profile;
-      Format.pp_print_flush fmt ()
-    end;
-    let text () = Experiments.Tune_doc.to_string profile in
-    match
-      match json_file with
-      | Some "-" -> print_string (text ())
-      | Some path ->
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc (text ()))
-      | None -> ()
-    with
-    | exception Sys_error msg -> `Error (false, "--json: " ^ msg)
-    | () -> `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:
-         "Sweep the per-kernel-class parallel thresholds and chunk grains (and the map_chunks runner's spawn threshold and steal grain) with Obs.Trace-timed micro-runs, and emit the chosen oqsc-tune profile for --tune-profile / OQSC_TUNE_PROFILE. Profiles affect scheduling only: loading any valid profile leaves every gated output byte unchanged.")
-    Term.(ret (const action $ quick $ seed $ domains $ json_file $ quiet))
-
-let tune_lint_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"An oqsc-tune profile document written by 'oqsc tune --json'.")
-  in
-  let action file =
-    match In_channel.with_open_text file In_channel.input_all with
-    | exception Sys_error msg -> `Error (false, "tune-lint: " ^ msg)
-    | raw -> (
-        match Experiments.Json.parse raw with
-        | Error msg -> `Error (false, Printf.sprintf "tune-lint %s: %s" file msg)
-        | Ok doc -> (
-            match Experiments.Tune_doc.lint doc with
-            | Ok { Experiments.Tune_doc.kernels; rows; domains } ->
-                Printf.printf
-                  "tune profile OK: %d kernel(s), %d telemetry row(s), domain cap %s\n"
-                  kernels rows
-                  (match domains with
-                  | None -> "none"
-                  | Some d -> string_of_int d);
-                `Ok ()
-            | Error problems ->
-                List.iter (fun p -> Printf.eprintf "TUNE %s\n" p) problems;
-                Printf.eprintf "tune-lint FAILED: %d problem(s) in %s\n"
-                  (List.length problems) file;
-                exit 1))
-  in
-  Cmd.v
-    (Cmd.info "tune-lint"
-       ~doc:
-         "Validate an oqsc-tune profile: strict schema (unknown keys, kernel coverage, positive parameters) plus self-consistency — the chosen grains and thresholds must be traceable to the telemetry the document carries.")
-    Term.(ret (const action $ file))
-
 let main =
   let doc = "quantum vs classical online space complexity (Le Gall, SPAA 2006) — reproduction" in
   Cmd.group (Cmd.info "oqsc" ~version:"1.0.0" ~doc)
-    [ gen_cmd; run_cmd; run_all_cmd; space_audit_cmd; merge_cmd; trace_lint_cmd; log_lint_cmd; tune_cmd; tune_lint_cmd; exp_cmd; ne_cmd; vm_cmd; serve_cmd; bench_serve_cmd; ids_cmd ]
+    [ gen_cmd; run_cmd; run_all_cmd; space_audit_cmd; merge_cmd; trace_lint_cmd; log_lint_cmd; exp_cmd; ne_cmd; serve_cmd; bench_serve_cmd; ids_cmd ]
 
 let () = exit (Cmd.eval main)

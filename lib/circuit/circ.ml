@@ -66,25 +66,13 @@ let apply_gate s (g : Gate.t) =
       State.apply_xor_if s (fun idx -> all_ones idx controls) target
   | Gate.Mcz qs -> State.apply_phase_if s (fun idx -> all_ones idx qs)
 
-(* Alternate execution engine (the bytecode VM).  The hook lives here
-   rather than in a [vm] dependency because the compiler consumes
-   circuits: [lib/vm] installs its runner at startup instead.  The
-   contract on any installed runner is bit-identical amplitudes via the
-   same State kernels, so flipping it never changes results. *)
-let compiled_runner : (t -> State.t -> unit) option ref = ref None
-let set_compiled_runner r = compiled_runner := r
-let compiled_runner_installed () = Option.is_some !compiled_runner
-
 let run t s =
   if State.nqubits s <> t.nqubits then invalid_arg "Circ.run: register size mismatch";
   Obs.Scope.incr "circuit.runs";
-  match !compiled_runner with
-  | Some exec -> exec t s
-  | None ->
-      Obs.Trace.with_span
-        ~args:[ ("gates", Obs.Trace.Int t.len) ]
-        "circ.run"
-        (fun () -> iter (apply_gate s) t)
+  Obs.Trace.with_span
+    ~args:[ ("gates", Obs.Trace.Int t.len) ]
+    "circ.run"
+    (fun () -> iter (apply_gate s) t)
 
 let gate_unitary ~nqubits (g : Gate.t) =
   if Gate.max_qubit g >= nqubits then

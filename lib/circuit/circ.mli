@@ -36,18 +36,7 @@ val is_basis_only : t -> bool
 
 val run : t -> Quantum.State.t -> unit
 (** Applies the circuit to a state in place.  Structured gates use the
-    simulator's fast paths; no lowering required.  When a compiled
-    runner is installed ({!set_compiled_runner}), execution is delegated
-    to it after the size check and the [circuit.runs] probe. *)
-
-val set_compiled_runner : (t -> Quantum.State.t -> unit) option -> unit
-(** Install (or, with [None], remove) an alternate execution engine for
-    {!run}.  Used by [Vm.Engine] to route circuits through the bytecode
-    interpreter; any installed runner must produce bit-identical
-    amplitudes to the IR walker.  Process-wide; not a per-domain slot. *)
-
-val compiled_runner_installed : unit -> bool
-(** Whether {!run} currently delegates to an installed engine. *)
+    simulator's fast paths; no lowering required. *)
 
 val unitary : t -> Quantum.Unitary.t
 (** Dense matrix of the whole circuit, built by running the gate kernels

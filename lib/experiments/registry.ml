@@ -102,16 +102,8 @@ let result ?(quick = false) ?(seed = 2006) id : Report.t =
   let t0 = Unix.gettimeofday () in
   let gc0 = if Obs.Trace.enabled () then Some (Gc.quick_stat ()) else None in
   let body =
-    (* The Vm cache context keys compiled-circuit reuse by what actually
-       determines a circuit here: the experiment, its seed, and the
-       quick/full variant.  Installing it unconditionally is free — the
-       cache only consults it when the bytecode engine is enabled. *)
-    Vm.Cache.with_context ~experiment:id ~seed
-      ~variant:(if quick then "quick" else "full")
-      (fun () ->
-        Obs.Scope.with_sink sink (fun () ->
-            Obs.Scope.with_span ("experiment." ^ id) (fun () ->
-                build ~quick ~seed)))
+    Obs.Scope.with_sink sink (fun () ->
+        Obs.Scope.with_span ("experiment." ^ id) (fun () -> build ~quick ~seed))
   in
   (match gc0 with
   | None -> ()

@@ -1,40 +1,38 @@
-(* ----------------------------------------------- tunable scheduling *)
-
-(* Every knob in this block affects scheduling only, never results:
-   chunk results are combined in chunk order, reductions keep their own
-   fixed decomposition (below), and map kernels write disjoint elements
-   so any split is bit-identical.  That is the contract that lets an
-   [oqsc-tune] profile (Experiments.Tune_doc) set these at startup
-   without moving a byte of gated JSON. *)
-
-let default_map_grain = 2048
-let default_map_chunks_grain = 1
-let default_map_chunks_spawn_min = 2
-
-let map_grain_ref = ref default_map_grain
-let map_chunks_grain_ref = ref default_map_chunks_grain
-let map_chunks_spawn_min_ref = ref default_map_chunks_spawn_min
-let domain_cap_ref = ref None
-
-let positive what v = if v < 1 then invalid_arg ("Parallel." ^ what) else v
-
-let map_grain () = !map_grain_ref
-let set_map_grain g = map_grain_ref := positive "set_map_grain: grain < 1" g
-let map_chunks_grain () = !map_chunks_grain_ref
-let set_map_chunks_grain g =
-  map_chunks_grain_ref := positive "set_map_chunks_grain: grain < 1" g
-let map_chunks_spawn_min () = !map_chunks_spawn_min_ref
-let set_map_chunks_spawn_min t =
-  map_chunks_spawn_min_ref := positive "set_map_chunks_spawn_min: threshold < 1" t
-let domain_cap () = !domain_cap_ref
-let set_domain_cap = function
-  | Some d when d < 1 -> invalid_arg "Parallel.set_domain_cap: cap < 1"
-  | cap -> domain_cap_ref := cap
-
 let recommended_domains () =
   let cores = Domain.recommended_domain_count () in
-  let base = max 1 (min 8 (cores - 1)) in
-  match !domain_cap_ref with None -> base | Some cap -> min cap base
+  max 1 (min 8 (cores - 1))
+
+(* Runs [run 0 .. run (chunks-1)] either inline (in order) or
+   work-stealing one chunk at a time across domains; [run] must not
+   touch the ambient Obs sink (spawned domains cannot see it) and chunk
+   work must be independent. *)
+let steal ~domains ~chunks run =
+  if domains <= 1 || chunks <= 1 then
+    for i = 0 to chunks - 1 do
+      run i
+    done
+  else begin
+    let next = Atomic.make 0 in
+    let worker () =
+      let rec loop () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < chunks then begin
+          run i;
+          loop ()
+        end
+      in
+      loop ()
+    in
+    let spawned =
+      List.init
+        (min domains chunks - 1)
+        (fun _ ->
+          Domain.spawn (fun () ->
+              Obs.Trace.with_span "parallel.worker" worker))
+    in
+    worker ();
+    List.iter Domain.join spawned
+  end
 
 let map_chunks ?domains ~chunks f ~rng =
   if chunks < 0 then invalid_arg "Parallel.map_chunks: negative chunk count";
@@ -67,39 +65,7 @@ let map_chunks ?domains ~chunks f ~rng =
                 f ~chunk:i ~rng:rngs.(i)))
   in
   let results = Array.make chunks None in
-  (* Work-stealing granularity: [map_chunks_grain] consecutive chunks
-     per stolen task.  Each chunk still gets its own PRNG split, sink,
-     and result slot, and tasks cover disjoint chunk ranges, so the
-     grouping is pure scheduling — grain 1 (the default) steals chunk
-     by chunk exactly as before. *)
-  let grain = !map_chunks_grain_ref in
-  let tasks = if chunks = 0 then 0 else (chunks + grain - 1) / grain in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let j = Atomic.fetch_and_add next 1 in
-      if j < tasks then begin
-        for i = j * grain to min ((j + 1) * grain) chunks - 1 do
-          results.(i) <- Some (call i)
-        done;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  if domains <= 1 || chunks < !map_chunks_spawn_min_ref || tasks <= 1 then
-    worker ()
-  else begin
-    let spawned =
-      List.init
-        (min domains tasks - 1)
-        (fun _ ->
-          Domain.spawn (fun () ->
-              Obs.Trace.with_span "parallel.worker" worker))
-    in
-    worker ();
-    List.iter Domain.join spawned
-  end;
+  steal ~domains ~chunks (fun i -> results.(i) <- Some (call i));
   (match parent_sink with
   | None -> ()
   | Some sink -> Array.iter (fun c -> Obs.merge ~into:sink c) chunk_sinks);
@@ -115,17 +81,15 @@ let map_chunks ?domains ~chunks f ~rng =
    computation combined in chunk order yields the same bits whether the
    chunks run inline or across domains.  Two grains:
 
-   - the map grain for write-disjoint element maps, where any split is
-     bit-identical anyway, so we can afford fine chunks — and afford to
-     let a tuning profile move it (globally via {!set_map_grain}, or
-     per call site via [iter_range ~grain]);
+   - [map_grain] for write-disjoint element maps, where any split is
+     bit-identical anyway, so we can afford fine chunks;
    - [sum_grain] for reductions, where the split changes the
      floating-point association; it is kept large enough that every
      register the stock experiments sweep (well under 2^14 amplitudes)
      reduces in a single chunk, i.e. in plain left-to-right order.
-     [sum_grain] is a fixed constant on purpose: no profile, env
-     variable, or API touches it, so reduced floats stay a pure
-     function of the range length forever. *)
+     Both are fixed constants: no env variable or API touches them, so
+     reduced floats stay a pure function of the range length forever. *)
+let map_grain = 2048
 let sum_grain = 16384
 let max_chunks = 64
 
@@ -134,13 +98,10 @@ let chunk_count ~grain n =
 
 let chunk_bounds n chunks i = (i * n / chunks, (i + 1) * n / chunks)
 
-(* Runs [chunk 0 .. chunk (chunks-1)] with [run i] either inline (in
-   order) or work-stealing across domains; [run] must not touch the
-   ambient Obs sink (spawned domains cannot see it) and chunk work must
-   be independent. *)
+(* [steal] with a [parallel.range_chunk] span per chunk, but only when
+   a trace session is live: the wrapping closure costs an allocation,
+   which the untraced hot path should not pay. *)
 let dispatch_chunks ~domains ~chunks run =
-  (* Chunk spans only when a trace session is live: the closure below
-     costs an allocation, which the untraced hot path should not pay. *)
   let run =
     if Obs.Trace.enabled () then fun i ->
       Obs.Trace.with_span
@@ -149,45 +110,13 @@ let dispatch_chunks ~domains ~chunks run =
         (fun () -> run i)
     else run
   in
-  if domains <= 1 || chunks <= 1 then
-    for i = 0 to chunks - 1 do
-      run i
-    done
-  else begin
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < chunks then begin
-          run i;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let spawned =
-      List.init
-        (min domains chunks - 1)
-        (fun _ ->
-          Domain.spawn (fun () ->
-              Obs.Trace.with_span "parallel.worker" worker))
-    in
-    worker ();
-    List.iter Domain.join spawned
-  end
+  steal ~domains ~chunks run
 
-let iter_range ?domains ?grain n f =
+let iter_range n f =
   if n < 0 then invalid_arg "Parallel.iter_range: negative length";
-  (match grain with
-  | Some g when g < 1 -> invalid_arg "Parallel.iter_range: grain < 1"
-  | _ -> ());
   if n > 0 then begin
-    let domains =
-      match domains with Some d -> max 1 d | None -> recommended_domains ()
-    in
-    let grain = match grain with Some g -> g | None -> !map_grain_ref in
-    let chunks = chunk_count ~grain n in
-    dispatch_chunks ~domains ~chunks (fun i ->
+    let chunks = chunk_count ~grain:map_grain n in
+    dispatch_chunks ~domains:(recommended_domains ()) ~chunks (fun i ->
         let lo, hi = chunk_bounds n chunks i in
         f lo hi)
   end

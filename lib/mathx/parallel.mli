@@ -24,54 +24,7 @@
 
 val recommended_domains : unit -> int
 (** [max 1 (cores - 1)], capped at 8 so nested parallel sections cannot
-    oversubscribe the machine, then further capped by {!set_domain_cap}
-    when a tuning profile installed one. *)
-
-(** {1 Tunable scheduling parameters}
-
-    Knobs an [oqsc-tune] profile (see [Experiments.Tune_doc] and
-    [docs/SCHEMA.md]) sets at startup.  Every one of them affects
-    {e scheduling only}: chunk results are combined in chunk order, map
-    kernels write disjoint elements (any split is bit-identical), and
-    the reduction decomposition of {!sum_range} is a fixed constant no
-    knob reaches — so any profile produces byte-identical gated JSON.
-    All setters raise [Invalid_argument] on values below 1. *)
-
-val default_map_grain : int
-(** 2048 — the initial {!map_grain}. *)
-
-val default_map_chunks_grain : int
-(** 1 — the initial {!map_chunks_grain}. *)
-
-val default_map_chunks_spawn_min : int
-(** 2 — the initial {!map_chunks_spawn_min}. *)
-
-val map_grain : unit -> int
-(** Default per-chunk element count for {!iter_range} (initially
-    {!default_map_grain}); call sites may override it per call with
-    [~grain]. *)
-
-val set_map_grain : int -> unit
-
-val map_chunks_grain : unit -> int
-(** Consecutive work items a {!map_chunks} worker steals at a time
-    (initially 1).  Each item keeps its own PRNG split, Obs sink, and
-    result slot whatever the grouping. *)
-
-val set_map_chunks_grain : int -> unit
-
-val map_chunks_spawn_min : unit -> int
-(** Minimum item count at which {!map_chunks} spawns extra domains
-    (initially 2); below it the calling domain runs every item. *)
-
-val set_map_chunks_spawn_min : int -> unit
-
-val domain_cap : unit -> int option
-(** Profile-installed upper bound folded into {!recommended_domains}
-    ([None], the initial state, means the hardware-derived default).
-    Explicit [?domains] arguments are never capped. *)
-
-val set_domain_cap : int option -> unit
+    oversubscribe the machine. *)
 
 val map_chunks :
   ?domains:int -> chunks:int -> (chunk:int -> rng:Rng.t -> 'a) -> rng:Rng.t -> 'a list
@@ -86,9 +39,8 @@ val map_chunks :
     - [chunks < 0] raises [Invalid_argument];
     - [domains <= 1] (including [0] and negative values) runs entirely
       on the calling domain; omitting it uses [recommended_domains ()];
-    - fewer than {!map_chunks_spawn_min} items also run entirely on the
-      calling domain, and workers steal {!map_chunks_grain} consecutive
-      items at a time — both pure scheduling (see the tunables above). *)
+    - a single item also runs on the calling domain; otherwise workers
+      steal one item at a time. *)
 
 (** {1 Range kernels}
 
@@ -100,14 +52,12 @@ val map_chunks :
     ambient [Obs] sink (record on the calling domain before or after
     the loop instead) and must only perform write-disjoint work. *)
 
-val iter_range : ?domains:int -> ?grain:int -> int -> (int -> int -> unit) -> unit
+val iter_range : int -> (int -> int -> unit) -> unit
 (** [iter_range n f] covers [0, n) with calls [f lo hi] over half-open
-    chunks, possibly concurrently.  [f]'s writes must be disjoint
-    across chunks.  [grain] sets the per-chunk element count for this
-    call (default {!map_grain}); because the chunks are write-disjoint,
-    the grain affects scheduling only.  [n = 0] is a no-op; [n < 0] or
-    [grain < 1] raises [Invalid_argument]; [domains <= 1] runs inline
-    in chunk order. *)
+    chunks of about 2048 elements, possibly concurrently on
+    {!recommended_domains} domains.  [f]'s writes must be disjoint
+    across chunks.  [n = 0] is a no-op; [n < 0] raises
+    [Invalid_argument]. *)
 
 val sum_range : ?domains:int -> int -> (int -> int -> float) -> float
 (** [sum_range n f] sums [f lo hi] over the same deterministic chunk

@@ -16,105 +16,49 @@ let max_qubits = 24
 
 (* ------------------------------------------------------- parallel gate *)
 
-(* Registers with at least the kernel class's threshold amplitudes run
-   their kernels through [Mathx.Parallel]'s range helpers (chunked,
-   possibly across domains); smaller ones run the plain sequential
-   loop.  The two paths are bit-identical by construction — gate
-   kernels write disjoint amplitudes, and reductions always use
-   [Parallel.sum_range]'s fixed chunking — so the thresholds and grains
-   (and [OQSC_PAR_THRESHOLD], and any loaded [oqsc-tune] profile)
-   affect wall-clock time only, never results.
-
-   The thresholds are tracked per kernel class because the classes have
-   very different arithmetic density per touched byte: a T-layer kernel
-   does two multiplies per amplitude while a general 2x2 does sixteen,
-   so the dimension at which spawning domains pays off genuinely
-   differs.  [Tlayer] is the unit-upper-left diagonal branch of
-   [apply_gate1]; [Diagonal] covers the other diagonal kernels (Rz-like
-   gates, phase flips); [Real] covers real 2x2 gates and the
-   amplitude-swapping XOR kernels; [General] is the full complex 2x2
-   (controlled gates included) plus the measurement/normalisation
-   maps. *)
-
-type kernel_class = Tlayer | Diagonal | Real | General
-
-let kernel_classes = [ Tlayer; Diagonal; Real; General ]
-
-let class_index = function Tlayer -> 0 | Diagonal -> 1 | Real -> 2 | General -> 3
-
-let kernel_class_name = function
-  | Tlayer -> "tlayer"
-  | Diagonal -> "diagonal"
-  | Real -> "real"
-  | General -> "general"
+(* Registers with at least [parallel_threshold] amplitudes run their
+   kernels through [Mathx.Parallel]'s range helpers (chunked, possibly
+   across domains); smaller ones run the plain sequential loop.  The two
+   paths are bit-identical by construction — gate kernels write disjoint
+   amplitudes, and reductions always use [Parallel.sum_range]'s fixed
+   chunking — so the threshold (and [OQSC_PAR_THRESHOLD]) affects
+   wall-clock time only, never results. *)
 
 let default_par_threshold = 1 lsl 14
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some t when t >= 0 -> t
-      | _ -> default)
-
-(* OQSC_PAR_THRESHOLD predates the per-class split and keeps its
-   meaning: one number for every class (0 forces the chunked path
-   everywhere, the determinism matrix's par0 leg). *)
-let par_thresholds =
-  Array.make 4 (env_int "OQSC_PAR_THRESHOLD" default_par_threshold)
-
-let par_grains = Array.make 4 (Parallel.map_grain ())
-
-let par_domains =
+(* OQSC_PAR_THRESHOLD=0 forces the chunked path everywhere: the
+   determinism matrix's par0 leg. *)
+let par_threshold =
   ref
-    (match Sys.getenv_opt "OQSC_PAR_DOMAINS" with
-    | None -> None
+    (match Sys.getenv_opt "OQSC_PAR_THRESHOLD" with
+    | None -> default_par_threshold
     | Some v -> (
         match int_of_string_opt (String.trim v) with
-        | Some d when d >= 1 -> Some d
-        | _ -> None))
+        | Some t when t >= 0 -> t
+        | _ -> default_par_threshold))
 
-let class_threshold c = par_thresholds.(class_index c)
-let set_class_threshold c d =
-  if d < 0 then invalid_arg "State.set_class_threshold: negative threshold";
-  par_thresholds.(class_index c) <- d
-
-let class_grain c = par_grains.(class_index c)
-let set_class_grain c g =
-  if g < 1 then invalid_arg "State.set_class_grain: grain < 1";
-  par_grains.(class_index c) <- g
-
-(* Legacy single-threshold view: reads [General], writes every class —
-   exactly the pre-split semantics, which the benches rely on to pin
-   the whole backend to one scheduling path. *)
-let parallel_threshold () = class_threshold General
+let parallel_threshold () = !par_threshold
 let set_parallel_threshold d =
   if d < 0 then invalid_arg "State.set_parallel_threshold: negative threshold";
-  List.iter (fun c -> set_class_threshold c d) kernel_classes
+  par_threshold := d
 
 let nqubits s = s.n
 let dim s = 1 lsl s.n
 
-let parallel_dim_class c s = dim s >= par_thresholds.(class_index c)
+let parallel_dim s = dim s >= !par_threshold
 
-(* Element map over [0, len): parallel chunks at or above the class
-   threshold, one plain loop below it.  [body lo hi] must write
-   disjoint amplitudes per index and must not touch the ambient Obs
-   sink. *)
-let kernel cls s len body =
-  if parallel_dim_class cls s && len > 1 then
-    Parallel.iter_range ?domains:!par_domains
-      ~grain:par_grains.(class_index cls)
-      len body
-  else body 0 len
+(* Element map over [0, len): parallel chunks at or above the threshold,
+   one plain loop below it.  [body lo hi] must write disjoint amplitudes
+   per index and must not touch the ambient Obs sink. *)
+let kernel s len body =
+  if parallel_dim s && len > 1 then Parallel.iter_range len body else body 0 len
 
 (* Reduction over [0, len): always routed through [Parallel.sum_range]
    so the chunk decomposition — and hence the floating-point association
-   — is a pure function of [len], independent of every threshold, grain,
-   and domain count. *)
+   — is a pure function of [len], independent of the threshold and the
+   domain count. *)
 let ksum s len body =
-  let domains = if parallel_dim_class General s then !par_domains else Some 1 in
+  let domains = if parallel_dim s then None else Some 1 in
   Parallel.sum_range ?domains len body
 
 (* ------------------------------------------------------- construction *)
@@ -204,7 +148,7 @@ let normalize s =
   if nrm = 0.0 then invalid_arg "State.normalize: zero vector";
   let inv = 1.0 /. nrm in
   let a = s.a in
-  kernel General s (dim s) (fun lo hi ->
+  kernel s (dim s) (fun lo hi ->
       for i = 2 * lo to (2 * hi) - 1 do
         A.unsafe_set a i (A.unsafe_get a i *. inv)
       done)
@@ -284,7 +228,7 @@ let apply_gate1 s (g : Gates.single) q =
        amplitudes, so walk the chunk run by run; this is a map kernel
        (each pair touched independently), so the traversal order is
        free and only the chunk boundaries are contractual. *)
-    kernel Tlayer s (dim s / 2) (fun lo hi ->
+    kernel s (dim s / 2) (fun lo hi ->
         let p = ref lo in
         while !p < hi do
           let off = !p land low_mask in
@@ -300,7 +244,7 @@ let apply_gate1 s (g : Gates.single) q =
         done)
   else if diagonal then
     (* Two independent complex scalings (Rz and friends). *)
-    kernel Diagonal s (dim s / 2) (fun lo hi ->
+    kernel s (dim s / 2) (fun lo hi ->
         for p = lo to hi - 1 do
           let ii = 2 * pair_index p q low_mask in
           let jj = ii + (2 * bit) in
@@ -313,7 +257,7 @@ let apply_gate1 s (g : Gates.single) q =
         done)
   else if u00i = 0.0 && u01i = 0.0 && u10i = 0.0 && u11i = 0.0 then
     (* Real 2x2 (H, X): half the multiplies of the general case. *)
-    kernel Real s (dim s / 2) (fun lo hi ->
+    kernel s (dim s / 2) (fun lo hi ->
         for p = lo to hi - 1 do
           let ii = 2 * pair_index p q low_mask in
           let jj = ii + (2 * bit) in
@@ -325,7 +269,7 @@ let apply_gate1 s (g : Gates.single) q =
           A.unsafe_set a (jj + 1) ((u10r *. ai) +. (u11r *. bi))
         done)
   else
-    kernel General s (dim s / 2) (fun lo hi ->
+    kernel s (dim s / 2) (fun lo hi ->
         for p = lo to hi - 1 do
           let ii = 2 * pair_index p q low_mask in
           let jj = ii + (2 * bit) in
@@ -357,7 +301,7 @@ let apply_controlled1 s (g : Gates.single) ~control ~target =
      clear by inserting both bits into a packed index. *)
   let q1 = min control target and q2 = max control target in
   let m1 = (1 lsl q1) - 1 in
-  kernel General s (dim s / 4) (fun lo hi ->
+  kernel s (dim s / 4) (fun lo hi ->
       for p = lo to hi - 1 do
         (* Insert a cleared slot at q1, then one at q2, then set the
            control bit; the target bit stays clear. *)
@@ -381,7 +325,7 @@ let apply_phase_if s pred =
   Obs.Scope.incr "quantum.gates";
   Obs.Trace.with_span "state.phase_if" @@ fun () ->
   let a = s.a in
-  kernel Diagonal s (dim s) (fun lo hi ->
+  kernel s (dim s) (fun lo hi ->
       for i = lo to hi - 1 do
         if pred i then begin
           A.unsafe_set a (2 * i) (-.A.unsafe_get a (2 * i));
@@ -396,7 +340,7 @@ let apply_xor_if s pred q =
   let bit = 1 lsl q in
   let low_mask = bit - 1 in
   let a = s.a in
-  kernel Real s (dim s / 2) (fun lo hi ->
+  kernel s (dim s / 2) (fun lo hi ->
       for p = lo to hi - 1 do
         let i = pair_index p q low_mask in
         if pred i then begin
@@ -442,7 +386,7 @@ let apply_xor_on_address s ~width ~address ?require ~target () =
   let tbit = 1 lsl target in
   let rbit = match require with Some r -> 1 lsl r | None -> 0 in
   let highs = dim s lsr width in
-  kernel Real s highs (fun lo hi ->
+  kernel s highs (fun lo hi ->
       for h = lo to hi - 1 do
         let idx = (h lsl width) lor address in
         if idx land tbit = 0 && idx land rbit = rbit then begin
@@ -463,7 +407,7 @@ let apply_phase_on_address s ~width ~address ?require () =
   let a = s.a in
   let rbit = match require with Some r -> 1 lsl r | None -> 0 in
   let highs = dim s lsr width in
-  kernel Diagonal s highs (fun lo hi ->
+  kernel s highs (fun lo hi ->
       for h = lo to hi - 1 do
         let idx = (h lsl width) lor address in
         if idx land rbit = rbit then begin
@@ -498,7 +442,7 @@ let measure_qubit s rng q =
   let p_kept = if outcome then p1 else 1.0 -. p1 in
   let inv = if p_kept > 0.0 then 1.0 /. sqrt p_kept else 0.0 in
   let a = s.a in
-  kernel General s (dim s) (fun lo hi ->
+  kernel s (dim s) (fun lo hi ->
       for i = lo to hi - 1 do
         let is_set = i land bit <> 0 in
         if is_set = keep_mask_set then begin

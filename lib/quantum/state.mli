@@ -15,8 +15,8 @@
     write disjoint amplitudes, and every floating-point reduction uses a
     chunk decomposition that depends only on the register size — never
     on the threshold or the domain count.  Changing the threshold (or
-    the [OQSC_PAR_THRESHOLD] / [OQSC_PAR_DOMAINS] environment overrides)
-    therefore affects wall-clock time only, never results, preserving
+    the [OQSC_PAR_THRESHOLD] environment override) therefore affects
+    wall-clock time only, never results, preserving
     the seeded-run determinism contract of [run-all --check]. *)
 
 type t
@@ -76,59 +76,17 @@ val approx_equal : ?eps:float -> t -> t -> bool
 (** Amplitude-wise comparison, default tolerance [1e-9] (no global-phase
     quotient; see {!fidelity} for phase-insensitive comparison). *)
 
-(** {1 Parallel backend controls}
-
-    The amplitude kernels fall into four classes with very different
-    arithmetic density per touched byte, so the dimension at which
-    spawning domains pays off — and the chunk grain worth using once it
-    does — is tracked per class.  All of it is pure scheduling: the two
-    paths are bit-identical, so thresholds and grains (whether set
-    here, via [OQSC_PAR_THRESHOLD], or by a loaded [oqsc-tune] profile)
-    never change results. *)
-
-type kernel_class =
-  | Tlayer  (** unit-upper-left diagonal gates: T, S, Z, phase *)
-  | Diagonal  (** other diagonal kernels: Rz-like gates, phase flips *)
-  | Real  (** real 2x2 gates (H, X) and the amplitude-swapping XOR kernels *)
-  | General
-      (** full complex 2x2 (controlled gates included), measurement
-          collapse, normalisation *)
-
-val kernel_classes : kernel_class list
-(** The four classes, in a fixed order. *)
-
-val kernel_class_name : kernel_class -> string
-(** The class's name in an [oqsc-tune] profile document:
-    ["tlayer" | "diagonal" | "real" | "general"]. *)
-
-val default_par_threshold : int
-(** [2^14] — the built-in per-class threshold. *)
-
-val class_threshold : kernel_class -> int
-(** Dimension at or above which this class's kernels use the parallel
-    chunked path.  Defaults to {!default_par_threshold};
-    [OQSC_PAR_THRESHOLD] (when set to a non-negative integer)
-    initialises every class alike, [0] forcing the chunked path
-    everywhere. *)
-
-val set_class_threshold : kernel_class -> int -> unit
-(** @raise Invalid_argument on a negative threshold. *)
-
-val class_grain : kernel_class -> int
-(** Per-chunk element count this class passes to
-    [Mathx.Parallel.iter_range] on its parallel path (defaults to
-    [Mathx.Parallel.map_grain ()]). *)
-
-val set_class_grain : kernel_class -> int -> unit
-(** @raise Invalid_argument on a grain below 1. *)
+(** {1 Parallel backend control} *)
 
 val parallel_threshold : unit -> int
-(** Legacy single-threshold view: reads the {!General} class. *)
+(** Dimension at or above which the amplitude kernels use the parallel
+    chunked path.  Defaults to [2^14]; [OQSC_PAR_THRESHOLD] (when set
+    to a non-negative integer) overrides it at startup, [0] forcing the
+    chunked path everywhere. *)
 
 val set_parallel_threshold : int -> unit
-(** Legacy single-threshold view: sets {e every} class (benchmarks use
-    it to pin the whole backend to one scheduling path).  Never changes
-    results, only scheduling.
+(** Benchmarks use it to pin the backend to one scheduling path.  Never
+    changes results, only scheduling.
     @raise Invalid_argument on a negative threshold. *)
 
 (** {1 Gate application} *)

@@ -35,9 +35,7 @@
     [run-all --only exp] output; a [sweep] payload likewise matches
     [space-audit --shard].  Batching, queue capacity, domain counts,
     client counts, and request interleaving affect only latency
-    envelopes ([wall_ms]), never a payload byte.  The compiled-circuit
-    cache ([Vm.Cache]) is process-wide, so a resident server keeps it
-    warm across requests.
+    envelopes ([wall_ms]), never a payload byte.
 
     {2 Telemetry}
 

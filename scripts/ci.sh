@@ -13,9 +13,9 @@ set -eu
 
 # Single source of truth for the stage list: both the usage string and
 # the dispatch whitelist derive from it, so adding a stage in one place
-# cannot silently drift from the other (the tune stage smoke-tests
+# cannot silently drift from the other (the build stage smoke-tests
 # this by running an unknown stage name).
-stages="build docs tests smoke trace compiled shard serve serve-soak tune audit bench baseline"
+stages="build docs tests smoke trace shard serve serve-soak audit bench baseline"
 
 usage() { echo "usage: scripts/ci.sh [$(echo "$stages" | tr ' ' '|')]"; }
 
@@ -39,6 +39,15 @@ trap 'rm -rf "$tmp"' EXIT
 if want build; then
   echo "== build =="
   dune build @all
+
+  # Stage-dispatch self-test: an unknown stage must fail fast with exit
+  # code 2 and the usage line, never fall through to the full gate.
+  set +e
+  bogus_out="$(sh scripts/ci.sh bogus-stage 2>&1)"
+  bogus_rc=$?
+  set -e
+  [ "$bogus_rc" -eq 2 ]
+  echo "$bogus_out" | grep -q '^usage: scripts/ci.sh'
 fi
 
 if want docs; then
@@ -101,40 +110,6 @@ if want trace; then
     --only e3 --trace "$tmp/e3_trace_par.json" --json "$tmp/e3_traced_par.json"
   cmp "$tmp/e3.json" "$tmp/e3_traced_par.json"
   dune exec bin/oqsc_cli.exe -- trace-lint "$tmp/e3_trace_par.json"
-fi
-
-if want compiled; then
-  echo "== compiled engine smoke =="
-  # The bytecode engine must be invisible in results: a --compiled run's
-  # gated JSON must be byte-identical to the IR walker's, on the default
-  # and the forced-chunked scheduling paths, and through the OQSC_COMPILED
-  # env switch (the route harnesses without flags use). A traced compiled
-  # run must leave the JSON untouched and emit a timeline that survives
-  # the structural linter (it carries the vm.compile / vm.exec spans).
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --json "$tmp/walk.json"
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --compiled \
-    --json "$tmp/comp.json"
-  cmp "$tmp/walk.json" "$tmp/comp.json"
-
-  OQSC_PAR_THRESHOLD=0 dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --compiled --json "$tmp/comp_par.json"
-  cmp "$tmp/walk.json" "$tmp/comp_par.json"
-
-  OQSC_COMPILED=1 dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --json "$tmp/comp_env.json"
-  cmp "$tmp/walk.json" "$tmp/comp_env.json"
-
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e11 \
-    --json "$tmp/walk_e11.json"
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e11 --compiled \
-    --trace "$tmp/comp_trace.json" --json "$tmp/comp_e11.json"
-  cmp "$tmp/walk_e11.json" "$tmp/comp_e11.json"
-  dune exec bin/oqsc_cli.exe -- trace-lint "$tmp/comp_trace.json"
-
-  # The bytecode machine gallery must list, disassemble, and run.
-  dune exec bin/oqsc_cli.exe -- vm list >/dev/null
-  dune exec bin/oqsc_cli.exe -- vm disasm ldisj-shape >/dev/null
-  printf 1101 | dune exec bin/oqsc_cli.exe -- vm run parity | grep -q reject
 fi
 
 if want shard; then
@@ -201,11 +176,10 @@ if want serve; then
 
   # Socket transport: a background server, the same mix over frames,
   # clean shutdown via a shutdown request, identical payload bytes. The
-  # compiled engine must be invisible in the served bytes too. The
   # server runs from the built binary directly so the backgrounded
   # process never contends for dune's build lock.
   dune build bin/oqsc_cli.exe
-  _build/default/bin/oqsc_cli.exe serve --socket "$tmp/serve.sock" --compiled &
+  _build/default/bin/oqsc_cli.exe serve --socket "$tmp/serve.sock" &
   serve_pid=$!
   for _ in $(seq 50); do [ -S "$tmp/serve.sock" ] && break; sleep 0.1; done
   [ -S "$tmp/serve.sock" ]
@@ -381,76 +355,6 @@ if want serve-soak; then
   fi
   awk -v f="$fresh" -v b="$base" \
     'BEGIN { exit !(f + 0 > 0 && b + 0 > 0 && f + 0 <= 25 * b) }'
-fi
-
-if want tune; then
-  echo "== tune profile pipeline =="
-  # Stage-dispatch self-test: an unknown stage must fail fast with exit
-  # code 2 and the usage line, never fall through to the full gate.
-  set +e
-  bogus_out="$(sh scripts/ci.sh bogus-stage 2>&1)"
-  bogus_rc=$?
-  set -e
-  [ "$bogus_rc" -eq 2 ]
-  echo "$bogus_out" | grep -q '^usage: scripts/ci.sh'
-
-  # A fresh quick sweep must emit a profile that parses and is
-  # self-consistent against its own telemetry — and so must the
-  # committed dated profile.
-  dune exec bin/oqsc_cli.exe -- tune --quick --quiet --json "$tmp/tune.json"
-  dune exec bin/oqsc_cli.exe -- tune-lint "$tmp/tune.json"
-  dune exec bin/oqsc_cli.exe -- tune-lint TUNE_2026-08-08.json
-
-  # The profile contract (docs/SCHEMA.md): profiles move scheduling
-  # only, so ANY valid profile must leave gated bytes untouched.
-  # Compare run-all and space-audit documents against defaults under
-  # (a) the fresh sweep's profile via --tune-profile, (b) the committed
-  # profile via the OQSC_TUNE_PROFILE environment route, and (c) a
-  # handwritten extreme profile (threshold 1, grain 1, domain cap 2)
-  # that drags every kernel onto the chunked path.
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --json "$tmp/tune_ra_default.json"
-  dune exec bin/oqsc_cli.exe -- space-audit --quick --quiet \
-    --json "$tmp/tune_sa_default.json"
-
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --tune-profile "$tmp/tune.json" --json "$tmp/tune_ra_fresh.json"
-  cmp "$tmp/tune_ra_default.json" "$tmp/tune_ra_fresh.json"
-  dune exec bin/oqsc_cli.exe -- space-audit --quick --quiet \
-    --tune-profile "$tmp/tune.json" --json "$tmp/tune_sa_fresh.json"
-  cmp "$tmp/tune_sa_default.json" "$tmp/tune_sa_fresh.json"
-
-  OQSC_TUNE_PROFILE=TUNE_2026-08-08.json dune exec bin/oqsc_cli.exe -- \
-    run-all --quick --quiet --json "$tmp/tune_ra_env.json"
-  cmp "$tmp/tune_ra_default.json" "$tmp/tune_ra_env.json"
-  OQSC_TUNE_PROFILE=TUNE_2026-08-08.json dune exec bin/oqsc_cli.exe -- \
-    space-audit --quick --quiet --json "$tmp/tune_sa_env.json"
-  cmp "$tmp/tune_sa_default.json" "$tmp/tune_sa_env.json"
-
-  cat > "$tmp/tune_extreme.json" <<'EOF'
-{"domains": 2, "kernels": [
-  {"grain": 1, "name": "diagonal", "threshold": 1},
-  {"grain": 1, "name": "general", "threshold": 1},
-  {"grain": 1, "name": "map_chunks", "threshold": 1},
-  {"grain": 1, "name": "real", "threshold": 1},
-  {"grain": 1, "name": "tlayer", "threshold": 1}],
- "kind": "oqsc-tune", "version": 1}
-EOF
-  dune exec bin/oqsc_cli.exe -- tune-lint "$tmp/tune_extreme.json"
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --tune-profile "$tmp/tune_extreme.json" --json "$tmp/tune_ra_extreme.json"
-  cmp "$tmp/tune_ra_default.json" "$tmp/tune_ra_extreme.json"
-  dune exec bin/oqsc_cli.exe -- space-audit --quick --quiet \
-    --tune-profile "$tmp/tune_extreme.json" --json "$tmp/tune_sa_extreme.json"
-  cmp "$tmp/tune_sa_default.json" "$tmp/tune_sa_extreme.json"
-
-  # Rejection discipline: a profile with an unknown key must fail both
-  # the linter and any command asked to load it, before anything runs.
-  sed 's/"kind"/"surprise": 1, "kind"/' "$tmp/tune_extreme.json" \
-    > "$tmp/tune_bad.json"
-  ! dune exec bin/oqsc_cli.exe -- tune-lint "$tmp/tune_bad.json" 2>/dev/null
-  ! dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-      --tune-profile "$tmp/tune_bad.json" 2>/dev/null
 fi
 
 if want audit; then

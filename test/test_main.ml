@@ -25,10 +25,9 @@ let () =
       ("parallel", Test_parallel.suite);
       ("json", Test_json.suite);
       ("runner", Test_runner.suite);
+      ("tune", Test_tune.suite);
       ("merge", Test_merge.suite);
       ("integration", Test_integration.suite);
-      ("tune", Test_tune.suite);
-      ("vm", Test_vm.suite);
       ("serve", Test_serve.suite);
       ("edges", Test_edges.suite);
     ]

@@ -132,10 +132,14 @@ let test_scope_bridge_both_layers () =
 let test_parallel_chunk_spans_balance () =
   let d =
     with_session (fun () ->
-        ignore
-          (Parallel.map_chunks ~domains:2 ~chunks:5
-             (fun ~chunk ~rng:_ -> chunk)
-             ~rng:(Rng.create 3));
+        (* The calling domain records a span of its own: the spawned
+           worker may steal every chunk, leaving the caller's track
+           otherwise empty. *)
+        T.with_span "caller" (fun () ->
+            ignore
+              (Parallel.map_chunks ~domains:2 ~chunks:5
+                 (fun ~chunk ~rng:_ -> chunk)
+                 ~rng:(Rng.create 3)));
         T.stop ())
   in
   let count kind name =

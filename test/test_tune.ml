@@ -1,293 +1,40 @@
-(* The oqsc-tune profile pipeline: codec round-trip and strictness,
-   apply/current symmetry, lint self-consistency, and the load-bearing
-   invariant that installing any valid profile leaves gated result
-   bytes unchanged. *)
+(* Scheduling knobs never move results: the gated JSON document of a
+   cheap registry selection keeps every byte under extreme settings of
+   the register-kernel parallel threshold and the domain count. *)
 
-module TD = Experiments.Tune_doc
 module Json = Experiments.Json
 module S = Quantum.State
-module P = Mathx.Parallel
 
-let check = Alcotest.(check bool)
-let check_str = Alcotest.(check string)
-
-(* Run a body with the live scheduling parameters saved and restored,
-   so profile experiments cannot leak into other tests. *)
-let with_saved_params f =
-  let saved = TD.current () in
-  Fun.protect ~finally:(fun () -> TD.apply saved) f
-
-(* --------------------------------------------------------- generator *)
-
-(* Valid profiles only; [ns] values are small binary fractions so the
-   emitter's shortest-float rendering round-trips them exactly. *)
-let profile_gen =
-  QCheck.Gen.(
-    let entry name =
-      pair (int_range 1 (1 lsl 20)) (int_range 1 (1 lsl 14))
-      >|= fun (threshold, grain) -> { TD.name; threshold; grain }
-    in
-    let measurement =
-      oneofl TD.kernel_names >>= fun kernel ->
-      int_range 1 (1 lsl 20) >>= fun size ->
-      oneofl [ TD.Seq; TD.Par ] >>= fun mode ->
-      int_range 1 8192 >>= fun m_grain ->
-      int_range 0 99_999_999 >|= fun n ->
-      { TD.kernel; size; mode; m_grain; ns = float_of_int n /. 16.0 }
-    in
-    opt (int_range 1 8) >>= fun domains ->
-    list_size (int_bound 6) measurement >>= fun telemetry ->
-    flatten_l (List.map entry TD.kernel_names) >|= fun kernels ->
-    TD.make ~domains ~telemetry kernels)
-
-let arbitrary_profile = QCheck.make profile_gen
-
-let prop_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"parse (document t) = Ok t"
-    arbitrary_profile (fun t -> TD.parse (TD.document t) = Ok t)
-
-let prop_string_roundtrip =
-  QCheck.Test.make ~count:200
-    ~name:"parse_string (to_string t) = Ok t (through the emitter)"
-    arbitrary_profile (fun t -> TD.parse_string (TD.to_string t) = Ok t)
-
-let prop_apply_current =
-  QCheck.Test.make ~count:50
-    ~name:"current () reflects apply t (telemetry aside)"
-    arbitrary_profile (fun t ->
-      with_saved_params (fun () ->
-          TD.apply t;
-          TD.current () = { t with telemetry = [] }))
-
-(* ------------------------------------------------------- strictness *)
-
-(* Mutate the default document field by field and insist the parser
-   throws the whole profile out. *)
-let base_fields () =
-  match TD.document TD.default with
-  | Json.Obj fields -> fields
-  | _ -> Alcotest.fail "tune document is not an object"
-
-let rejects what doc =
-  match TD.parse doc with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.failf "parser accepted %s" what
-
-let set key v fields = List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) fields
-
-let patch_kernel f fields =
-  set "kernels"
-    (match List.assoc "kernels" fields with
-    | Json.List (k :: rest) -> Json.List (f k :: rest)
-    | _ -> Alcotest.fail "kernels missing")
-    fields
-
-let test_rejections () =
-  let base = base_fields () in
-  rejects "an unknown top-level key" (Json.Obj (("surprise", Json.Int 1) :: base));
-  rejects "a bad kind" (Json.Obj (set "kind" (Json.Str "oqsc-tuna") base));
-  rejects "an unsupported version" (Json.Obj (set "version" (Json.Int 2) base));
-  rejects "domains = 0" (Json.Obj (set "domains" (Json.Int 0) base));
-  rejects "a non-list kernels value" (Json.Obj (set "kernels" (Json.Int 3) base));
-  rejects "a missing domains key"
-    (Json.Obj (List.filter (fun (k, _) -> k <> "domains") base));
-  rejects "a missing kernel"
-    (Json.Obj
-       (set "kernels"
-          (match List.assoc "kernels" base with
-          | Json.List (_ :: rest) -> Json.List rest
-          | _ -> Alcotest.fail "kernels missing")
-          base));
-  rejects "a duplicated kernel"
-    (Json.Obj
-       (set "kernels"
-          (match List.assoc "kernels" base with
-          | Json.List (k :: rest) -> Json.List (k :: k :: rest)
-          | _ -> Alcotest.fail "kernels missing")
-          base));
-  rejects "an unknown kernel name"
-    (Json.Obj
-       (patch_kernel
-          (function
-            | Json.Obj kf -> Json.Obj (set "name" (Json.Str "warp") kf)
-            | j -> j)
-          base));
-  rejects "a zero threshold"
-    (Json.Obj
-       (patch_kernel
-          (function
-            | Json.Obj kf -> Json.Obj (set "threshold" (Json.Int 0) kf)
-            | j -> j)
-          base));
-  rejects "a negative grain"
-    (Json.Obj
-       (patch_kernel
-          (function
-            | Json.Obj kf -> Json.Obj (set "grain" (Json.Int (-4)) kf)
-            | j -> j)
-          base));
-  rejects "an unknown kernel-entry key"
-    (Json.Obj
-       (patch_kernel
-          (function
-            | Json.Obj kf -> Json.Obj (("notes", Json.Str "hi") :: kf)
-            | j -> j)
-          base));
-  rejects "a non-object document" (Json.List []);
-  (* Telemetry rows are held to the same standard. *)
-  let with_rows rows = Json.Obj (base @ [ ("telemetry", Json.List rows) ]) in
-  let row extra =
-    Json.Obj
-      ([
-         ("grain", Json.Int 1);
-         ("kernel", Json.Str "general");
-         ("mode", Json.Str "par");
-         ("ns", Json.Float 12.5);
-         ("size", Json.Int 4096);
-       ]
-      |> fun fields -> extra fields)
-  in
-  (match TD.parse (with_rows [ row Fun.id ]) with
-  | Ok t -> check "well-formed telemetry row parses" true (List.length t.TD.telemetry = 1)
-  | Error msg -> Alcotest.failf "valid telemetry rejected: %s" msg);
-  rejects "a telemetry row with an unknown key"
-    (with_rows [ row (fun f -> ("who", Json.Int 1) :: f) ]);
-  rejects "a telemetry row with an unknown kernel"
-    (with_rows [ row (set "kernel" (Json.Str "warp")) ]);
-  rejects "a telemetry row with a bad mode"
-    (with_rows [ row (set "mode" (Json.Str "both")) ]);
-  rejects "a telemetry row with a negative ns"
-    (with_rows [ row (set "ns" (Json.Float (-1.0))) ]);
-  rejects "a telemetry row with a zero size"
-    (with_rows [ row (set "size" (Json.Int 0)) ])
-
-let test_kernel_names () =
-  Alcotest.(check (list string))
-    "profile kernel set" [ "diagonal"; "general"; "map_chunks"; "real"; "tlayer" ]
-    TD.kernel_names
-
-let test_default_applies () =
-  with_saved_params (fun () ->
-      TD.apply TD.default;
-      check "default profile is the live default" true (TD.current () = TD.default);
-      check_str "default document is byte-stable" (TD.to_string TD.default)
-        (TD.to_string TD.default))
-
-(* ------------------------------------------------------------- lint *)
-
-let test_lint () =
-  (match TD.lint (TD.document TD.default) with
-  | Ok r -> check "default lints clean" true (r.TD.kernels = 5 && r.TD.rows = 0)
-  | Error ps -> Alcotest.failf "default profile lint: %s" (String.concat "; " ps));
-  let measured ~threshold ~grain =
-    TD.make
-      ~telemetry:
-        [
-          { TD.kernel = "general"; size = 4096; mode = TD.Seq; m_grain = 1; ns = 100.0 };
-          { TD.kernel = "general"; size = 4096; mode = TD.Par; m_grain = 2048; ns = 50.0 };
-        ]
-      ({ TD.name = "general"; threshold; grain }
-      :: List.filter_map
-           (fun n ->
-             if n = "general" then None
-             else Some { TD.name = n; threshold = 4096; grain = 1 })
-           TD.kernel_names)
-  in
-  (match TD.lint (TD.document (measured ~threshold:4096 ~grain:2048)) with
-  | Ok _ -> ()
-  | Error ps ->
-      Alcotest.failf "consistent profile flagged: %s" (String.concat "; " ps));
-  (match TD.lint (TD.document (measured ~threshold:8192 ~grain:2048)) with
-  | Ok _ -> () (* beyond the whole swept range: the stay-sequential sentinel *)
-  | Error ps ->
-      Alcotest.failf "sentinel threshold flagged: %s" (String.concat "; " ps));
-  check "unmeasured grain is flagged" true
-    (Result.is_error (TD.lint (TD.document (measured ~threshold:4096 ~grain:512))));
-  check "mid-range unmeasured threshold is flagged" true
-    (Result.is_error (TD.lint (TD.document (measured ~threshold:100 ~grain:2048))))
-
-(* ------------------------------------------- byte-invariance (gated) *)
-
-(* The tentpole invariant, in-process: the gated JSON document of a
-   (cheap) registry selection must not move by a byte under any loaded
-   profile.  Two experiments so the map_chunks runner really has items
-   to regroup under its profile-set grain and spawn threshold. *)
-let gated_bytes () =
+(* Two experiments so the runner really has items to spread over
+   domains; e3 builds quantum registers, so the kernels are exercised. *)
+let gated_bytes ?domains () =
   let results =
-    Experiments.Registry.results ~quick:true ~seed:2006 ~only:[ "e2"; "e3" ] ()
+    Experiments.Registry.results ~quick:true ~seed:2006 ?domains
+      ~only:[ "e2"; "e3" ] ()
   in
   Json.to_string (Json.of_results ~seed:2006 ~quick:true results)
 
-let test_profile_byte_invariance () =
-  let baseline = with_saved_params gated_bytes in
-  let extremes =
-    [
-      ("threshold 1 / grain 1 / domains 2",
-       TD.make ~domains:(Some 2)
-         (List.map (fun n -> { TD.name = n; threshold = 1; grain = 1 }) TD.kernel_names));
-      ("huge thresholds",
-       TD.make
-         (List.map
-            (fun n -> { TD.name = n; threshold = 1 lsl 30; grain = 7 })
-            TD.kernel_names));
-      ("odd grains",
-       TD.make
-         (List.map (fun n -> { TD.name = n; threshold = 2; grain = 3 }) TD.kernel_names));
-    ]
-  in
+let with_threshold threshold f =
+  let saved = S.parallel_threshold () in
+  S.set_parallel_threshold threshold;
+  Fun.protect ~finally:(fun () -> S.set_parallel_threshold saved) f
+
+let test_threshold_byte_invariance () =
+  let baseline = gated_bytes ~domains:1 () in
   List.iter
-    (fun (label, profile) ->
-      let bytes =
-        with_saved_params (fun () ->
-            TD.apply profile;
-            gated_bytes ())
-      in
-      check_str ("gated bytes unchanged under " ^ label) baseline bytes)
-    extremes
-
-let prop_random_profile_byte_invariance =
-  (* Same invariant under generator-drawn profiles; a thin count keeps
-     runtest quick — the CI tune stage does the full-document cmp. *)
-  let baseline = lazy (with_saved_params gated_bytes) in
-  QCheck.Test.make ~count:5
-    ~name:"gated bytes unchanged under any random valid profile"
-    arbitrary_profile (fun t ->
-      let bytes =
-        with_saved_params (fun () ->
-            TD.apply t;
-            gated_bytes ())
-      in
-      String.equal (Lazy.force baseline) bytes)
-
-(* ----------------------------------------------------------- sweep *)
-
-let test_quick_sweep_is_valid () =
-  (* One real (quick) sweep end to end: the emitted document must parse
-     back, lint clean, and leave the live parameters untouched. *)
-  let before = TD.current () in
-  let profile = Experiments.Tune.sweep ~quick:true ~seed:11 () in
-  check "sweep restores the live parameters" true (TD.current () = before);
-  (match TD.parse_string (TD.to_string profile) with
-  | Ok t -> check "sweep document round-trips" true (t = profile)
-  | Error msg -> Alcotest.failf "sweep document rejected: %s" msg);
-  match TD.lint (TD.document profile) with
-  | Ok r -> check "sweep telemetry present" true (r.TD.rows > 0)
-  | Error ps -> Alcotest.failf "sweep profile lint: %s" (String.concat "; " ps)
+    (fun (label, threshold, domains) ->
+      let bytes = with_threshold threshold (gated_bytes ~domains) in
+      Alcotest.(check string)
+        ("gated bytes unchanged under " ^ label)
+        baseline bytes)
+    [
+      ("threshold 0 / domains 2 (chunked kernels everywhere)", 0, 2);
+      ("threshold 1 / domains 3", 1, 3);
+      ("huge threshold / domains 2", 1 lsl 30, 2);
+    ]
 
 let suite =
   [
-    ("profile kernel-name set", `Quick, test_kernel_names);
-    ("strict parser rejections", `Quick, test_rejections);
-    ("default profile applies and round-trips", `Quick, test_default_applies);
-    ("lint: schema + self-consistency", `Quick, test_lint);
-    ("gated bytes invariant under extreme profiles", `Quick, test_profile_byte_invariance);
-    ("quick sweep emits a valid, restoring profile", `Quick, test_quick_sweep_is_valid);
+    ("gated bytes invariant under extreme thresholds", `Quick,
+     test_threshold_byte_invariance);
   ]
-  @ List.map
-      (QCheck_alcotest.to_alcotest ~long:false)
-      [
-        prop_roundtrip;
-        prop_string_roundtrip;
-        prop_apply_current;
-        prop_random_profile_byte_invariance;
-      ]
