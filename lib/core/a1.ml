@@ -24,6 +24,8 @@ type t = {
   rep : Workspace.reg;  (* current repetition, 0-based *)
   idx : Workspace.reg;  (* position inside the current block *)
   k_known : Workspace.reg;  (* set once the prefix separator is read *)
+  mutable block_len : int;  (* 2^{2k}, derived from [k_reg] once known *)
+  mutable reps : int;  (* 2^k, likewise *)
 }
 
 let create ws =
@@ -35,6 +37,8 @@ let create ws =
     rep = Workspace.alloc ws ~name:"a1.rep" ~bits:(max_k + 1);
     idx = Workspace.alloc ws ~name:"a1.idx" ~bits:((2 * max_k) + 1);
     k_known = Workspace.alloc_flag ws ~name:"a1.k_known";
+    block_len = 0;
+    reps = 0;
   }
 
 let k t =
@@ -64,17 +68,20 @@ let feed t sym =
             Prefix_one
           end
       | Symbol.Hash ->
-          if Workspace.get ws t.k_reg < 1 then fail t
+          let kv = Workspace.get ws t.k_reg in
+          if kv < 1 then fail t
           else begin
             Workspace.set ws t.phase 1;
             Workspace.set_flag ws t.k_known true;
+            (* k is fixed from here on; so are the two sizes it sets. *)
+            t.block_len <- 1 lsl (2 * kv);
+            t.reps <- 1 lsl kv;
             Prefix_sep
           end
       | Symbol.Zero -> fail t
     end
   | 1 -> begin
-      let kv = Workspace.get ws t.k_reg in
-      let m = 1 lsl (2 * kv) and reps = 1 lsl kv in
+      let m = t.block_len in
       let seg = Workspace.get ws t.seg in
       let rep = Workspace.get ws t.rep in
       let idx = Workspace.get ws t.idx in
@@ -94,7 +101,7 @@ let feed t sym =
             (if seg < 2 then Workspace.set ws t.seg (seg + 1)
              else begin
                Workspace.set ws t.seg 0;
-               if rep + 1 = reps then Workspace.set ws t.phase 2
+               if rep + 1 = t.reps then Workspace.set ws t.phase 2
                else Workspace.set ws t.rep (rep + 1)
              end);
             role

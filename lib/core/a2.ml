@@ -4,6 +4,7 @@ open Mathx
 type t = {
   ws : Workspace.t;
   p : int;
+  point_value : int;  (* the value of [point], fixed at creation like [p] *)
   point : Workspace.reg;
   acc : Workspace.reg;  (* running fingerprint of the current block *)
   pow : Workspace.reg;  (* t^idx for the next bit *)
@@ -19,10 +20,12 @@ let create ws rng ~k =
   let p = Primes.fingerprint_prime k in
   let bits = (4 * k) + 1 in
   let reg name = Workspace.alloc ws ~name ~bits in
+  let point_value = Rng.int rng p in
   let t =
     {
       ws;
       p;
+      point_value;
       point = reg "a2.point";
       acc = reg "a2.acc";
       pow = reg "a2.pow";
@@ -33,7 +36,7 @@ let create ws rng ~k =
       started = Workspace.alloc_flag ws ~name:"a2.started";
     }
   in
-  Workspace.set ws t.point (Rng.int rng p);
+  Workspace.set ws t.point point_value;
   Workspace.set ws t.pow 1;
   Workspace.set_flag ws t.ok true;
   t
@@ -50,9 +53,10 @@ let observe t (role : A1.role) =
   | A1.Prefix_one | A1.Prefix_sep -> ()
   | A1.Bad -> check t false
   | A1.Block_bit { bit; _ } ->
-      let acc = Workspace.get ws t.acc and pow = Workspace.get ws t.pow in
-      if bit then Workspace.set ws t.acc (Modarith.addmod acc pow t.p);
-      Workspace.set ws t.pow (Modarith.mulmod pow (Workspace.get ws t.point) t.p)
+      let pow = Workspace.get ws t.pow in
+      if bit then
+        Workspace.set ws t.acc (Modarith.addmod (Workspace.get ws t.acc) pow t.p);
+      Workspace.set ws t.pow (Modarith.mulmod pow t.point_value t.p)
   | A1.Block_sep { seg; _ } -> begin
       let f = Workspace.get ws t.acc in
       (match seg with
@@ -65,8 +69,9 @@ let observe t (role : A1.role) =
             check t (f = Workspace.get ws t.prev_fy);
           Workspace.set ws t.prev_fy f
       | A1.Z ->
-          check t (f = Workspace.get ws t.this_fx);
-          Workspace.set ws t.prev_fx (Workspace.get ws t.this_fx);
+          let fx = Workspace.get ws t.this_fx in
+          check t (f = fx);
+          Workspace.set ws t.prev_fx fx;
           Workspace.set_flag ws t.started true);
       reset_block t
     end

@@ -7,12 +7,30 @@ type t = {
   lay : Circuit.Ops.layout;
   state : State.t;
   j : Workspace.reg;  (* the random Grover iteration count *)
+  j_value : int;  (* its value, fixed at creation *)
+  recording : bool;  (* a circuit or a wire tape is being written *)
   circ : Circuit.Circ.t option;
   noise : (State.t -> unit) option;
   wire : Buffer.t option;  (* online Definition 2.3 output tape *)
   mutable wire_first : bool;
   ancillas : int list;  (* lowering pool, used only when emitting wire *)
 }
+
+(* Callers build a gate list only when [t.recording] holds, so the
+   plain simulation allocates no gates. *)
+let record t gates =
+  (match t.circ with Some c -> Circuit.Circ.add_list c gates | None -> ());
+  match t.wire with
+  | None -> ()
+  | Some buf ->
+      List.iter
+        (fun g ->
+          List.iter
+            (fun basis ->
+              Circuit.Wire.emit_gate buf ~first:t.wire_first basis;
+              t.wire_first <- false)
+            (Circuit.Lower.gate_to_basis ~ancillas:t.ancillas g))
+        gates
 
 let create ?(emit_circuit = false) ?(emit_wire = false) ?force_j ?noise ws rng ~k =
   if k < 1 || k > 10 then invalid_arg "A3.create: k out of range for simulation";
@@ -31,12 +49,7 @@ let create ?(emit_circuit = false) ?(emit_wire = false) ?force_j ?noise ws rng ~
   let state = State.create nq in
   State.apply_hadamard_block state 0 lay.Circuit.Ops.address_width;
   let circ =
-    if emit_circuit then begin
-      let c = Circuit.Circ.create ~nqubits:nq in
-      Circuit.Circ.add_list c (Circuit.Ops.u_k lay);
-      Some c
-    end
-    else None
+    if emit_circuit then Some (Circuit.Circ.create ~nqubits:nq) else None
   in
   (* Wire emission lowers on the fly; the worst gate (R_y's MCX with
      2k + 1 controls) needs 2k - 1 clean ancillas above the data. *)
@@ -48,62 +61,53 @@ let create ?(emit_circuit = false) ?(emit_wire = false) ?force_j ?noise ws rng ~
     end
     else None
   in
-  let t = { ws; lay; state; j; circ; noise; wire; wire_first = true; ancillas } in
-  (match wire with
-  | Some buf ->
-      List.iter
-        (fun g ->
-          List.iter
-            (fun basis ->
-              Circuit.Wire.emit_gate buf ~first:t.wire_first basis;
-              t.wire_first <- false)
-            (Circuit.Lower.gate_to_basis ~ancillas g))
-        (Circuit.Ops.u_k lay)
-  | None -> ());
+  let t =
+    {
+      ws;
+      lay;
+      state;
+      j;
+      j_value = drawn;
+      recording = emit_circuit || emit_wire;
+      circ;
+      noise;
+      wire;
+      wire_first = true;
+      ancillas;
+    }
+  in
+  if t.recording then record t (Circuit.Ops.u_k lay);
   t
 
 let fixed_j t = Workspace.get t.ws t.j
-
-let record t gates =
-  (match t.circ with Some c -> Circuit.Circ.add_list c gates | None -> ());
-  match t.wire with
-  | None -> ()
-  | Some buf ->
-      List.iter
-        (fun g ->
-          List.iter
-            (fun basis ->
-              Circuit.Wire.emit_gate buf ~first:t.wire_first basis;
-              t.wire_first <- false)
-            (Circuit.Lower.gate_to_basis ~ancillas:t.ancillas g))
-        gates
 
 let width t = t.lay.Circuit.Ops.address_width
 
 let v_bit t idx =
   State.apply_xor_on_address t.state ~width:(width t) ~address:idx
     ~target:t.lay.Circuit.Ops.h ();
-  record t (Circuit.Ops.v_bit t.lay idx)
+  if t.recording then record t (Circuit.Ops.v_bit t.lay idx)
 
 let w_bit t idx =
   State.apply_phase_on_address t.state ~width:(width t) ~address:idx
     ~require:t.lay.Circuit.Ops.h ();
-  record t (Circuit.Ops.w_bit t.lay idx)
+  if t.recording then record t (Circuit.Ops.w_bit t.lay idx)
 
 let r_bit t idx =
   State.apply_xor_on_address t.state ~width:(width t) ~address:idx
     ~require:t.lay.Circuit.Ops.h ~target:t.lay.Circuit.Ops.l ();
-  record t (Circuit.Ops.r_bit t.lay idx)
+  if t.recording then record t (Circuit.Ops.r_bit t.lay idx)
 
 let diffusion t =
   let w = width t in
   State.apply_hadamard_block t.state 0 w;
   State.apply_phase_if t.state (fun idx -> idx land ((1 lsl w) - 1) <> 0);
   State.apply_hadamard_block t.state 0 w;
-  record t (Circuit.Ops.u_k t.lay @ Circuit.Ops.s_k t.lay @ Circuit.Ops.u_k t.lay)
+  if t.recording then
+    record t (Circuit.Ops.u_k t.lay @ Circuit.Ops.s_k t.lay @ Circuit.Ops.u_k t.lay)
 
 let observe t (role : A1.role) =
-  let j = fixed_j t in
+  let j = t.j_value in
   match role with
   | A1.Prefix_one | A1.Prefix_sep | A1.Bad -> ()
   | A1.Block_bit { rep; seg; idx; bit } ->

@@ -8,7 +8,10 @@
 type t
 
 val of_string : string -> t
-(** Stream over a string of '0'/'1'/'#'. *)
+(** Stream over a string of '0'/'1'/'#', read in place: {!iter} and
+    {!fold} allocate nothing per symbol.  A character outside the
+    alphabet raises [Invalid_argument] (from {!Symbol.of_char}) when it
+    is reached, leaving {!pos} at its index. *)
 
 val of_fn : (int -> Symbol.t option) -> t
 (** [of_fn f] yields [f 0, f 1, ...] until the first [None] — supports

@@ -1,19 +1,34 @@
-type slot = { name : string; bits : int; mutable value : int; mutable live : bool }
-type reg = int
+(* A register is its own cell: [get]/[set] touch one record, with no
+   slot lookup.  [owner] is the id of the allocating workspace, so a
+   register handed to another workspace is caught by one int compare
+   (an id rather than the workspace itself keeps registers acyclic).
+   [max] is the largest value the width allows, computed at [alloc]. *)
+type reg = {
+  owner : int;
+  name : string;
+  bits : int;
+  max : int;
+  mutable value : int;
+  mutable live : bool;
+}
 
 type t = {
-  mutable slots : slot array;
-  mutable used : int;
+  id : int;
+  mutable regs : reg list;  (* every register ever allocated, newest first *)
+  live_names : (string, unit) Hashtbl.t;
   mutable classical : int;
   mutable peak_classical : int;
   mutable qubit_count : int;
   mutable peak_total : int;
 }
 
+let next_id = Atomic.make 0
+
 let create () =
   {
-    slots = Array.make 8 { name = ""; bits = 0; value = 0; live = false };
-    used = 0;
+    id = Atomic.fetch_and_add next_id 1;
+    regs = [];
+    live_names = Hashtbl.create 16;
     classical = 0;
     peak_classical = 0;
     qubit_count = 0;
@@ -27,49 +42,45 @@ let bump_peaks t =
 
 let alloc t ~name ~bits =
   if bits < 1 || bits > 62 then invalid_arg "Workspace.alloc: width must be in [1, 62]";
-  for i = 0 to t.used - 1 do
-    if t.slots.(i).live && String.equal t.slots.(i).name name then
-      Fmt.invalid_arg "Workspace.alloc: duplicate register name %S" name
-  done;
-  if t.used = Array.length t.slots then begin
-    let bigger = Array.make (2 * t.used) t.slots.(0) in
-    Array.blit t.slots 0 bigger 0 t.used;
-    t.slots <- bigger
-  end;
-  let slot = { name; bits; value = 0; live = true } in
-  t.slots.(t.used) <- slot;
-  t.used <- t.used + 1;
+  if Hashtbl.mem t.live_names name then
+    Fmt.invalid_arg "Workspace.alloc: duplicate register name %S" name;
+  Hashtbl.replace t.live_names name ();
+  let max = if bits = 62 then max_int else (1 lsl bits) - 1 in
+  let r = { owner = t.id; name; bits; max; value = 0; live = true } in
+  t.regs <- r :: t.regs;
   t.classical <- t.classical + bits;
   bump_peaks t;
   Obs.Scope.incr "workspace.allocs";
   Obs.Scope.gauge_add "workspace.classical_bits" bits;
-  t.used - 1
+  r
 
 let alloc_flag t ~name = alloc t ~name ~bits:1
 
-let slot t r =
-  if r < 0 || r >= t.used then invalid_arg "Workspace: invalid register";
-  t.slots.(r)
+let check_owner t r = if r.owner <> t.id then invalid_arg "Workspace: invalid register"
 
 let free t r =
-  let s = slot t r in
-  if not s.live then invalid_arg "Workspace.free: register already freed";
-  s.live <- false;
-  t.classical <- t.classical - s.bits;
-  Obs.Scope.gauge_add "workspace.classical_bits" (-s.bits)
+  check_owner t r;
+  if not r.live then invalid_arg "Workspace.free: register already freed";
+  r.live <- false;
+  Hashtbl.remove t.live_names r.name;
+  t.classical <- t.classical - r.bits;
+  Obs.Scope.gauge_add "workspace.classical_bits" (-r.bits)
 
 let get t r =
-  let s = slot t r in
-  if not s.live then invalid_arg "Workspace.get: register freed";
-  s.value
+  check_owner t r;
+  if not r.live then invalid_arg "Workspace.get: register freed";
+  r.value
 
+(* [max] has no bit above the width and, being non-negative, not the
+   sign bit either, so one mask test rejects both a negative value and
+   one that is too wide. *)
 let set t r v =
-  let s = slot t r in
-  if not s.live then invalid_arg "Workspace.set: register freed";
-  if v < 0 || (s.bits < 62 && v >= 1 lsl s.bits) then
-    Fmt.invalid_arg "Workspace.set: value %d does not fit %d bits (%s)" v s.bits
-      s.name;
-  s.value <- v
+  check_owner t r;
+  if not r.live then invalid_arg "Workspace.set: register freed";
+  if v land lnot r.max <> 0 then
+    Fmt.invalid_arg "Workspace.set: value %d does not fit %d bits (%s)" v r.bits
+      r.name;
+  r.value <- v
 
 let incr t r = set t r (get t r + 1)
 
@@ -89,10 +100,11 @@ let peak_total_bits t = t.peak_total
 
 let snapshot t =
   let buf = Buffer.create 64 in
-  for i = 0 to t.used - 1 do
-    let s = t.slots.(i) in
-    if s.live then Buffer.add_string buf (Printf.sprintf "%s:%d=%d;" s.name s.bits s.value)
-  done;
+  List.iter
+    (fun r ->
+      if r.live then
+        Buffer.add_string buf (Printf.sprintf "%s:%d=%d;" r.name r.bits r.value))
+    (List.rev t.regs);
   Buffer.contents buf
 
 let snapshot_bits t = t.classical

@@ -20,13 +20,19 @@
 type t
 
 type reg
-(** A named classical register holding an integer of a fixed bit width. *)
+(** A named classical register holding an integer of a fixed bit width.
+    It belongs to the workspace that allocated it: every operation
+    below raises [Invalid_argument "Workspace: invalid register"] when
+    given another workspace's register. *)
 
 val create : unit -> t
 
 val alloc : t -> name:string -> bits:int -> reg
 (** [alloc t ~name ~bits] allocates a zeroed register of [bits] bits
-    ([1 <= bits <= 62]).  Names must be unique within a workspace. *)
+    ([1 <= bits <= 62]).  Names must be unique among the live registers
+    of a workspace; a freed register's name may be reused.  The check
+    is a table lookup, so allocating many registers (a {!Bitstore})
+    costs time linear in their number. *)
 
 val alloc_flag : t -> name:string -> reg
 (** One-bit register. *)
@@ -36,9 +42,11 @@ val free : t -> reg -> unit
     unaffected).  @raise Invalid_argument on double free. *)
 
 val get : t -> reg -> int
+(** @raise Invalid_argument on a freed register. *)
+
 val set : t -> reg -> int -> unit
-(** @raise Invalid_argument if the value does not fit the register width
-    (that would be hidden extra space). *)
+(** @raise Invalid_argument on a freed register, or if the value does
+    not fit the register width (that would be hidden extra space). *)
 
 val incr : t -> reg -> unit
 (** [incr t r] adds 1, checking width. *)

@@ -116,9 +116,13 @@ let iter_range n f =
   if n < 0 then invalid_arg "Parallel.iter_range: negative length";
   if n > 0 then begin
     let chunks = chunk_count ~grain:map_grain n in
-    dispatch_chunks ~domains:(recommended_domains ()) ~chunks (fun i ->
-        let lo, hi = chunk_bounds n chunks i in
-        f lo hi)
+    (* A single chunk runs inline, as in [sum_range]: the same bounds,
+       with no scheduling closure and no [parallel.range_chunk] span. *)
+    if chunks = 1 then f 0 n
+    else
+      dispatch_chunks ~domains:(recommended_domains ()) ~chunks (fun i ->
+          let lo, hi = chunk_bounds n chunks i in
+          f lo hi)
   end
 
 let sum_range ?domains n f =

@@ -19,6 +19,8 @@
     timed span ([parallel.map_chunk] / [parallel.range_chunk], with the
     chunk index as an argument) on whichever domain runs it, and each
     spawned domain wraps its stealing loop in a [parallel.worker] span.
+    A range kernel whose range is a single chunk runs inline as one
+    plain call and records no [parallel.range_chunk] span.
     Tracing reads clocks and is exempt from determinism; it never
     touches the chunk sinks, the PRNG streams, or the results. *)
 
@@ -56,8 +58,9 @@ val iter_range : int -> (int -> int -> unit) -> unit
 (** [iter_range n f] covers [0, n) with calls [f lo hi] over half-open
     chunks of about 2048 elements, possibly concurrently on
     {!recommended_domains} domains.  [f]'s writes must be disjoint
-    across chunks.  [n = 0] is a no-op; [n < 0] raises
-    [Invalid_argument]. *)
+    across chunks.  Ranges of at most 2048 elements are one chunk,
+    i.e. exactly [f 0 n] on the calling domain.  [n = 0] is a no-op;
+    [n < 0] raises [Invalid_argument]. *)
 
 val sum_range : ?domains:int -> int -> (int -> int -> float) -> float
 (** [sum_range n f] sums [f lo hi] over the same deterministic chunk

@@ -364,22 +364,18 @@ let apply_hadamard_block s lo count =
 (* [width = nqubits] is legal as long as no qubit (target or require) is
    needed above the address register: the enumeration then touches the
    single basis state [address], the full-register oracle shape. *)
-let check_address_args s ~width ~address ~qubits_above =
+let check_address_args s ~width ~address =
   if width < 0 || width > s.n then invalid_arg "State: bad address width";
-  if address < 0 || address >= 1 lsl width then invalid_arg "State: bad address";
-  List.iter
-    (fun (what, q) ->
-      match q with
-      | None -> ()
-      | Some q ->
-          if q < width || q >= s.n then
-            Fmt.invalid_arg "State: %s qubit must lie above the address register"
-              what)
-    qubits_above
+  if address < 0 || address >= 1 lsl width then invalid_arg "State: bad address"
+
+let check_above s ~width what q =
+  if q < width || q >= s.n then
+    Fmt.invalid_arg "State: %s qubit must lie above the address register" what
 
 let apply_xor_on_address s ~width ~address ?require ~target () =
-  check_address_args s ~width ~address
-    ~qubits_above:[ ("target", Some target); ("require", require) ];
+  check_address_args s ~width ~address;
+  check_above s ~width "target" target;
+  (match require with Some r -> check_above s ~width "require" r | None -> ());
   Obs.Scope.incr "quantum.gates";
   Obs.Trace.with_span "state.xor_on_address" @@ fun () ->
   let a = s.a in
@@ -401,7 +397,8 @@ let apply_xor_on_address s ~width ~address ?require ~target () =
       done)
 
 let apply_phase_on_address s ~width ~address ?require () =
-  check_address_args s ~width ~address ~qubits_above:[ ("require", require) ];
+  check_address_args s ~width ~address;
+  (match require with Some r -> check_above s ~width "require" r | None -> ());
   Obs.Scope.incr "quantum.gates";
   Obs.Trace.with_span "state.phase_on_address" @@ fun () ->
   let a = s.a in

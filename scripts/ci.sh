@@ -85,6 +85,14 @@ if want smoke; then
   OQSC_PAR_THRESHOLD=0 dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
     --json "$tmp/exp_par.json"
   cmp "$tmp/exp.json" "$tmp/exp_par.json"
+
+  # Every example executable must run to a zero exit status;
+  # circuit_dump is the one caller of A3's circuit-recording path.
+  for src in examples/*.ml; do
+    ex="$(basename "$src" .ml)"
+    echo "-- examples/$ex"
+    dune exec "examples/$ex.exe" >"$tmp/example_$ex.out"
+  done
 fi
 
 if want trace; then

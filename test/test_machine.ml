@@ -71,6 +71,75 @@ let test_workspace_flags_and_incr () =
 
 (* ------------------------------------------------------------- bitstore *)
 
+let test_workspace_name_reuse () =
+  let ws = Workspace.create () in
+  let a = Workspace.alloc ws ~name:"a" ~bits:4 in
+  let _b = Workspace.alloc ws ~name:"b" ~bits:4 in
+  Workspace.free ws a;
+  let a' = Workspace.alloc ws ~name:"a" ~bits:6 in
+  Workspace.set ws a' 63;
+  check_int "the reused name is a fresh register" 63 (Workspace.get ws a');
+  Alcotest.(check string) "snapshot lists live registers in allocation order"
+    "b:4=0;a:6=63;" (Workspace.snapshot ws);
+  Alcotest.check_raises "a live duplicate still raises"
+    (Invalid_argument "Workspace.alloc: duplicate register name \"b\"") (fun () ->
+      ignore (Workspace.alloc ws ~name:"b" ~bits:1));
+  Alcotest.check_raises "so does the reallocated name"
+    (Invalid_argument "Workspace.alloc: duplicate register name \"a\"") (fun () ->
+      ignore (Workspace.alloc ws ~name:"a" ~bits:1))
+
+let test_workspace_foreign_register () =
+  let ws1 = Workspace.create () and ws2 = Workspace.create () in
+  let r = Workspace.alloc ws1 ~name:"r" ~bits:4 in
+  let own = Workspace.alloc ws2 ~name:"r" ~bits:4 in
+  let invalid = Invalid_argument "Workspace: invalid register" in
+  Alcotest.check_raises "get" invalid (fun () -> ignore (Workspace.get ws2 r));
+  Alcotest.check_raises "set" invalid (fun () -> Workspace.set ws2 r 1);
+  Alcotest.check_raises "free" invalid (fun () -> Workspace.free ws2 r);
+  check_int "the other workspace's footprint is untouched" 4
+    (Workspace.classical_bits ws2);
+  check_int "nor its register" 0 (Workspace.get ws2 own);
+  Workspace.set ws1 r 9;
+  check_int "the owner still works" 9 (Workspace.get ws1 r)
+
+let test_workspace_freed_register () =
+  let ws = Workspace.create () in
+  let r = Workspace.alloc ws ~name:"r" ~bits:4 in
+  Workspace.free ws r;
+  Alcotest.check_raises "get" (Invalid_argument "Workspace.get: register freed")
+    (fun () -> ignore (Workspace.get ws r));
+  Alcotest.check_raises "set" (Invalid_argument "Workspace.set: register freed")
+    (fun () -> Workspace.set ws r 1);
+  Alcotest.check_raises "incr" (Invalid_argument "Workspace.get: register freed")
+    (fun () -> Workspace.incr ws r);
+  Alcotest.check_raises "free" (Invalid_argument "Workspace.free: register already freed")
+    (fun () -> Workspace.free ws r)
+
+let test_workspace_width_edges () =
+  let ws = Workspace.create () in
+  let w = Workspace.alloc ws ~name:"w" ~bits:62 in
+  Workspace.set ws w max_int;
+  check_int "62 bits hold max_int" max_int (Workspace.get ws w);
+  Alcotest.check_raises "62 bits reject -1"
+    (Invalid_argument "Workspace.set: value -1 does not fit 62 bits (w)") (fun () ->
+      Workspace.set ws w (-1));
+  Alcotest.check_raises "62 bits reject min_int"
+    (Invalid_argument
+       (Printf.sprintf "Workspace.set: value %d does not fit 62 bits (w)" min_int))
+    (fun () -> Workspace.set ws w min_int);
+  check_int "a rejected value leaves the register alone" max_int (Workspace.get ws w);
+  let f = Workspace.alloc ws ~name:"f" ~bits:1 in
+  Workspace.set ws f 1;
+  check_int "1 bit holds 1" 1 (Workspace.get ws f);
+  Workspace.set ws f 0;
+  check_int "1 bit holds 0" 0 (Workspace.get ws f);
+  Alcotest.check_raises "1 bit rejects 2"
+    (Invalid_argument "Workspace.set: value 2 does not fit 1 bits (f)") (fun () ->
+      Workspace.set ws f 2);
+  Alcotest.check_raises "1 bit rejects -1"
+    (Invalid_argument "Workspace.set: value -1 does not fit 1 bits (f)") (fun () ->
+      Workspace.set ws f (-1))
+
 let test_bitstore_exact_footprint () =
   let ws = Workspace.create () in
   let _ = Bitstore.alloc ws ~name:"s" ~bits:100 in
@@ -106,6 +175,63 @@ let test_stream_sequential () =
 let test_stream_of_fn () =
   let s = Stream.of_fn (fun i -> if i < 5 then Some Symbol.One else None) in
   check_int "fold counts" 5 (Stream.fold (fun acc _ -> acc + 1) 0 s)
+
+(* The generic generator over the same characters: the reference the
+   string-backed stream must agree with. *)
+let stream_by_fn str =
+  let n = String.length str in
+  Stream.of_fn (fun i -> if i < n then Some (Symbol.of_char str.[i]) else None)
+
+(* Everything a consumer sees of a stream: [prefix] calls to [next]
+   with the position after each, then a resumed [fold] or [iter] (with
+   the position inside the callback), then the final position.  A bad
+   character ends the run with its message, and the position it left
+   is the last entry. *)
+let observe_stream ~prefix ~use_fold s =
+  let seen = ref [] in
+  let note x = seen := x :: !seen in
+  let sym c = String.make 1 (Symbol.to_char c) in
+  (try
+     for _ = 1 to prefix do
+       note (match Stream.next s with Some c -> sym c | None -> "eof");
+       note (string_of_int (Stream.pos s))
+     done;
+     note "resume";
+     if use_fold then note (Stream.fold (fun acc c -> acc ^ sym c) "" s)
+     else Stream.iter (fun c -> note (sym c ^ string_of_int (Stream.pos s))) s
+   with Invalid_argument m -> note m);
+  note (string_of_int (Stream.pos s));
+  List.rev !seen
+
+let stream_qcheck_tests =
+  let open QCheck in
+  let case alphabet =
+    triple
+      (string_gen_of_size Gen.(0 -- 40) (Gen.oneofl alphabet))
+      (int_bound 45) bool
+  in
+  let agree (str, prefix, use_fold) =
+    observe_stream ~prefix ~use_fold (Stream.of_string str)
+    = observe_stream ~prefix ~use_fold (stream_by_fn str)
+  in
+  [
+    Test.make ~name:"stream of_string = of_fn on {0,1,#}" ~count:300
+      (case [ '0'; '1'; '#' ]) agree;
+    Test.make ~name:"stream of_string = of_fn on a bad character" ~count:300
+      (case [ '0'; '1'; '#'; 'x' ]) agree;
+  ]
+
+let test_stream_bad_char_position () =
+  let s = Stream.of_string "01x1" in
+  let seen = ref 0 in
+  Alcotest.check_raises "iter raises"
+    (Invalid_argument "Symbol.of_char: x not in {0,1,#}") (fun () ->
+      Stream.iter (fun _ -> incr seen) s);
+  check_int "symbols before it" 2 !seen;
+  check_int "pos stays at the bad character" 2 (Stream.pos s);
+  Alcotest.check_raises "next raises again"
+    (Invalid_argument "Symbol.of_char: x not in {0,1,#}") (fun () ->
+      ignore (Stream.next s))
 
 let test_symbol_conversions () =
   Alcotest.(check char) "one" '1' (Symbol.to_char (Symbol.of_char '1'));
@@ -245,10 +371,15 @@ let suite =
     ("workspace qubits", `Quick, test_workspace_qubits_and_total);
     ("workspace snapshots", `Quick, test_workspace_snapshot_distinguishes);
     ("workspace flags/incr/free", `Quick, test_workspace_flags_and_incr);
+    ("workspace name reuse after free", `Quick, test_workspace_name_reuse);
+    ("workspace foreign register", `Quick, test_workspace_foreign_register);
+    ("workspace freed register", `Quick, test_workspace_freed_register);
+    ("workspace width edges", `Quick, test_workspace_width_edges);
     ("bitstore exact footprint", `Quick, test_bitstore_exact_footprint);
     ("bitstore roundtrip", `Quick, test_bitstore_roundtrip);
     ("stream sequential", `Quick, test_stream_sequential);
     ("stream of_fn", `Quick, test_stream_of_fn);
+    ("stream bad character position", `Quick, test_stream_bad_char_position);
     ("symbol conversions", `Quick, test_symbol_conversions);
     ("machines validate", `Quick, test_machines_validate);
     ("parity machine", `Quick, test_parity_machine);
@@ -263,3 +394,4 @@ let suite =
     ("non-halting cut off", `Quick, test_nonhalting_is_cut_off);
     ("census accumulator", `Quick, test_census_accumulator);
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) stream_qcheck_tests

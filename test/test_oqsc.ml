@@ -191,7 +191,7 @@ let test_a2_prime_and_point () =
 
 (* ------------------------------------------------------------------- A3 *)
 
-let run_a3 ?emit_circuit ?force_j rng ~k input =
+let run_a3 ?emit_circuit ?emit_wire ?noise ?force_j rng ~k input =
   let ws = Machine.Workspace.create () in
   let a1 = Oqsc.A1.create ws in
   let a3 = ref None in
@@ -199,7 +199,8 @@ let run_a3 ?emit_circuit ?force_j rng ~k input =
     (fun c ->
       let role = Oqsc.A1.feed a1 (Machine.Symbol.of_char c) in
       (match role with
-      | Oqsc.A1.Prefix_sep -> a3 := Some (Oqsc.A3.create ?emit_circuit ?force_j ws rng ~k)
+      | Oqsc.A1.Prefix_sep ->
+          a3 := Some (Oqsc.A3.create ?emit_circuit ?emit_wire ?noise ?force_j ws rng ~k)
       | _ -> ());
       match !a3 with Some p -> Oqsc.A3.observe p role | None -> ())
     input;
@@ -303,6 +304,47 @@ let test_a3_streamed_wire_matches_batch_lowering () =
   (* And the ancillas were charged. *)
   check "qubit ledger includes lowering ancillas" true
     (Machine.Workspace.qubits ws = nq)
+
+let test_a3_recording_does_not_touch_the_state () =
+  (* Recording a circuit or a wire tape only writes gates down: the
+     amplitudes after every repetition (read through the noise hook)
+     and the final rejection probability are bit-identical whichever
+     recorders are on. *)
+  let rng = Rng.create 67 in
+  let k = 2 in
+  let bits x = Int64.bits_of_float x in
+  let run ~emit_circuit ~emit_wire ~force_j input =
+    let amps = ref [] in
+    let noise st =
+      amps :=
+        List.init (Quantum.State.dim st) (fun i ->
+            (bits (Quantum.State.re st i), bits (Quantum.State.im st i)))
+        :: !amps
+    in
+    let a3, _ =
+      run_a3 ~emit_circuit ~emit_wire ~noise ~force_j (Rng.create 1) ~k input
+    in
+    (List.rev !amps, bits (Oqsc.A3.prob_output_zero a3))
+  in
+  List.iter
+    (fun (inst : Lang.Instance.t) ->
+      for force_j = 0 to (1 lsl k) - 1 do
+        let plain =
+          run ~emit_circuit:false ~emit_wire:false ~force_j inst.Lang.Instance.input
+        in
+        check_int "one snapshot per repetition" (1 lsl k) (List.length (fst plain));
+        List.iter
+          (fun (emit_circuit, emit_wire) ->
+            check
+              (Printf.sprintf "j=%d circuit=%b wire=%b" force_j emit_circuit emit_wire)
+              true
+              (run ~emit_circuit ~emit_wire ~force_j inst.Lang.Instance.input = plain))
+          [ (true, false); (false, true); (true, true) ]
+      done)
+    [
+      Lang.Instance.disjoint_pair (Rng.split rng) ~k;
+      Lang.Instance.intersecting_pair (Rng.split rng) ~k ~t:3;
+    ]
 
 let test_a3_force_j_guard () =
   let ws = Machine.Workspace.create () in
@@ -558,6 +600,7 @@ let suite =
     ("a3 sampling", `Quick, test_a3_sampling_consistent_with_probability);
     ("a3 circuit emission", `Quick, test_a3_circuit_emission);
     ("a3 streamed wire = batch", `Quick, test_a3_streamed_wire_matches_batch_lowering);
+    ("a3 recording leaves the state alone", `Quick, test_a3_recording_does_not_touch_the_state);
     ("a3 force_j guard", `Quick, test_a3_force_j_guard);
     ("def23 machine validates", `Quick, test_def23_parity_machine_validates);
     ("def23 parity semantics", `Quick, test_def23_parity_semantics);
