@@ -10,9 +10,9 @@
    - a structural diff with a relative tolerance on numeric leaves,
      which is what `--check BASELINE.json --tolerance PCT` runs.
 
-   Keys listed in [default_ignored] (telemetry: wall-clock, OLS r²) are
-   excluded from the diff on either side, so a baseline recorded with
-   `--timing` still checks cleanly against a run without it. *)
+   Keys listed in [default_ignored] (wall-clock telemetry) are excluded
+   from the diff on either side, so a baseline recorded with `--timing`
+   still checks cleanly against a run without it. *)
 
 type t =
   | Null
@@ -98,6 +98,12 @@ let to_string v =
 
 exception Parse_error of string
 
+(* Deepest nesting of arrays and objects [parse] accepts.  Emitted and
+   committed documents nest fewer than 10 levels; the bound keeps the
+   recursive descent's stack (which every minor collection scans) short
+   on untrusted input such as a serve request line. *)
+let max_depth = 512
+
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
@@ -147,12 +153,19 @@ let parse (s : string) : (t, string) result =
          | 't' -> Buffer.add_char buf '\t'
          | 'u' ->
              if !pos + 4 > n then fail "truncated \\u escape";
-             let hex = String.sub s !pos 4 in
-             pos := !pos + 4;
-             let code =
-               try int_of_string ("0x" ^ hex)
-               with _ -> fail "invalid \\u escape"
+             (* Exactly four hex digits: no sign, prefix or '_'. *)
+             let digit i =
+               match s.[!pos + i] with
+               | '0' .. '9' as d -> Char.code d - Char.code '0'
+               | 'a' .. 'f' as d -> Char.code d - Char.code 'a' + 10
+               | 'A' .. 'F' as d -> Char.code d - Char.code 'A' + 10
+               | _ -> fail "invalid \\u escape"
              in
+             let code =
+               (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4)
+               lor digit 3
+             in
+             pos := !pos + 4;
              (* Code points below 0x80 decode directly; the emitter only
                 produces those.  Anything wider becomes UTF-8. *)
              if code < 0x80 then Buffer.add_char buf (Char.chr code)
@@ -204,12 +217,18 @@ let parse (s : string) : (t, string) result =
           | Some f -> Float f
           | None -> fail (Printf.sprintf "invalid number %S" text))
   in
-  let rec parse_value () =
+  let open_container depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting deeper than %d levels" max_depth);
+    advance ()
+  in
+  (* [depth] counts the arrays and objects enclosing the value. *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
     | Some '{' ->
-        advance ();
+        open_container depth;
         skip_ws ();
         if peek () = Some '}' then begin
           advance ();
@@ -222,7 +241,7 @@ let parse (s : string) : (t, string) result =
             let key = parse_string () in
             skip_ws ();
             expect ':';
-            let value = parse_value () in
+            let value = parse_value (depth + 1) in
             fields := (key, value) :: !fields;
             skip_ws ();
             match peek () with
@@ -236,7 +255,7 @@ let parse (s : string) : (t, string) result =
           Obj (List.rev !fields)
         end
     | Some '[' ->
-        advance ();
+        open_container depth;
         skip_ws ();
         if peek () = Some ']' then begin
           advance ();
@@ -245,7 +264,7 @@ let parse (s : string) : (t, string) result =
         else begin
           let items = ref [] in
           let rec elements () =
-            let value = parse_value () in
+            let value = parse_value (depth + 1) in
             items := value :: !items;
             skip_ws ();
             match peek () with
@@ -266,7 +285,7 @@ let parse (s : string) : (t, string) result =
     | Some c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   try
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
     else Ok v
@@ -274,7 +293,7 @@ let parse (s : string) : (t, string) result =
 
 (* ------------------------------------------------------------- diff *)
 
-let default_ignored = [ "wall_ms"; "r_square"; "generated_at" ]
+let default_ignored = [ "wall_ms" ]
 
 let type_name = function
   | Null -> "null"

@@ -13,9 +13,8 @@
    quick, and the shard set must be exactly {0/N .. (N-1)/N} with
    payload entries disjoint across shards.  On success the [shard]
    field is dropped and the payload is reassembled in canonical order
-   (catalogue order for experiments, ascending [k] for audit rows,
-   kernel name for bench rows), which makes the merged bytes identical
-   to an unsharded run for the deterministic document kinds. *)
+   (catalogue order for experiments, ascending [k] for audit rows),
+   which makes the merged bytes identical to an unsharded run. *)
 
 type spec = { index : int; count : int }
 
@@ -101,7 +100,7 @@ type envelope = {
    recorded by a newer emitter must not be silently merged into an
    older-shaped document. *)
 let mergeable_versions =
-  [ ("oqsc-experiments", 2); ("oqsc-space-audit", 1); ("oqsc-bench", 1) ]
+  [ ("oqsc-experiments", 2); ("oqsc-space-audit", 1) ]
 
 let envelope (label, doc) =
   let fields = obj_fields label doc in
@@ -220,34 +219,6 @@ let merge_experiments envelopes =
   in
   Json.List (sort_disjoint ~what:"experiment" entries)
 
-let merge_bench envelopes =
-  let entries =
-    List.concat_map
-      (fun e ->
-        List.map
-          (fun x ->
-            let name =
-              str_field (e.label ^ ": kernel") "name"
-                (obj_fields (e.label ^ ": kernel") x)
-            in
-            (name, e.label, x))
-          (list_field e.label "kernels" e.fields))
-      envelopes
-  in
-  let sorted =
-    List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) entries
-  in
-  let rec scan = function
-    | (a, la, _) :: ((b, lb, _) :: _ as rest) ->
-        if String.equal a b then
-          fail "overlapping shards: kernel %S appears in both %s and %s" a la
-            lb;
-        scan rest
-    | _ -> ()
-  in
-  scan sorted;
-  Json.List (List.map (fun (_, _, x) -> x) sorted)
-
 let audit_row label x =
   let fields = obj_fields label x in
   let int name = int_field label name fields in
@@ -310,14 +281,8 @@ let merge docs =
         validate_envelopes first (List.tl envelopes);
         match first.kind with
         | "oqsc-space-audit" -> Ok (merge_audit envelopes first)
-        | kind ->
-            let payload =
-              match kind with
-              | "oqsc-experiments" ->
-                  ("experiments", merge_experiments envelopes)
-              | "oqsc-bench" -> ("kernels", merge_bench envelopes)
-              | _ -> assert false (* [envelope] rejected unknown kinds *)
-            in
+        | _ ->
+            (* [envelope] rejected every kind but these two. *)
             Ok
               (Json.Obj
                  [
@@ -325,6 +290,6 @@ let merge docs =
                    ("version", Json.Int first.version);
                    ("seed", Json.Int first.seed);
                    ("quick", Json.Bool first.quick);
-                   payload;
+                   ("experiments", merge_experiments envelopes);
                  ])
       with Merge_error msg -> Error msg)

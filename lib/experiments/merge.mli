@@ -11,7 +11,7 @@
     Shard documents are ordinary result documents plus a gated [shard]
     envelope field ([{"index": I, "of": N}], see docs/SCHEMA.md); the
     merged document drops it, making merged bytes identical to an
-    unsharded run for the deterministic document kinds. *)
+    unsharded run. *)
 
 type spec = { index : int; count : int }
 (** Shard [index] of [count] total shards; [0 <= index < count]. *)
@@ -42,10 +42,8 @@ val merge : (string * Json.t) list -> (Json.t, string) result
     Validates that every input carries a [shard] field, that kind,
     schema version, seed, and quick agree everywhere, that the shard
     indices are exactly [0..N-1] with no duplicates, and that payload
-    entries (experiment ids / audit [k] values / kernel names) are
-    disjoint across shards.  Supported kinds: [oqsc-experiments]
-    (reassembled in catalogue order), [oqsc-space-audit] (rows by
-    ascending [k], fit and verdict recomputed over the merged rows),
-    [oqsc-bench] (kernels by name).  The merged document has no
-    [shard] field; for the deterministic kinds its bytes equal an
-    unsharded run's. *)
+    entries (experiment ids / audit [k] values) are disjoint across
+    shards.  Supported kinds: [oqsc-experiments] (reassembled in
+    catalogue order) and [oqsc-space-audit] (rows by ascending [k], fit
+    and verdict recomputed over the merged rows).  The merged document
+    has no [shard] field, and its bytes equal an unsharded run's. *)

@@ -15,7 +15,7 @@ set -eu
 # the dispatch whitelist derive from it, so adding a stage in one place
 # cannot silently drift from the other (the build stage smoke-tests
 # this by running an unknown stage name).
-stages="build docs tests smoke trace shard serve serve-soak audit bench baseline"
+stages="build docs tests smoke trace shard serve serve-soak audit"
 
 usage() { echo "usage: scripts/ci.sh [$(echo "$stages" | tr ' ' '|')]"; }
 
@@ -386,37 +386,6 @@ if want audit; then
        END { if (have) print prev }' \
     "$tmp/audit_timed.json" > "$tmp/audit_stripped.json"
   cmp "$tmp/audit.json" "$tmp/audit_stripped.json"
-fi
-
-if want bench; then
-  echo "== bench JSON smoke =="
-  # One cheap kernel group; wall-clock varies, so gate only the shape
-  # (names present, document parses) with a very loose tolerance.
-  dune exec bench/main.exe -- --quick --no-tables --only e2 --json "$tmp/bench.json"
-  dune exec bench/main.exe -- --quick --no-tables --only e2 \
-    --check "$tmp/bench.json" --tolerance 90
-
-  # Sharded bench documents recombine: timings differ run to run, so
-  # gate the merged document's kernel catalogue, not its numbers.
-  dune exec bench/main.exe -- --quick --no-tables --only e2,e5,e13 \
-    --shard 0/2 --json "$tmp/bench_0.json"
-  dune exec bench/main.exe -- --quick --no-tables --only e2,e5,e13 \
-    --shard 1/2 --json "$tmp/bench_1.json"
-  dune exec bin/oqsc_cli.exe -- merge "$tmp/bench_merged.json" \
-    "$tmp/bench_1.json" "$tmp/bench_0.json"
-  dune exec bench/main.exe -- --quick --no-tables --only e2,e5,e13 \
-    --check "$tmp/bench_merged.json" --tolerance 10000
-fi
-
-if want baseline; then
-  echo "== bench baseline check =="
-  # Gate the full kernel set against the committed dated baseline. The
-  # tolerance is deliberately loose (timings are machine-dependent); what
-  # this really pins is the kernel catalogue — a renamed or vanished
-  # kernel fails regardless of tolerance. Re-record and commit a new
-  # dated file after intentional kernel changes (see EXPERIMENTS.md).
-  dune exec bench/main.exe -- --no-tables \
-    --check BENCH_2026-08-05.json --tolerance 90
 fi
 
 echo "== ci $stage OK =="

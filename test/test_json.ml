@@ -55,6 +55,18 @@ let test_parse_errors () =
   check "trailing garbage" true (bad "{} x");
   check "bare word" true (bad "flse")
 
+let test_parse_unicode_escape () =
+  (match Json.parse {|"\u0041\u00e9\u00C9"|} with
+  | Ok (Json.Str s) -> check_str "four hex digits decode" "A\xc3\xa9\xc3\x89" s
+  | _ -> Alcotest.fail "a well-formed \\u escape should parse");
+  let bad s =
+    match Json.parse s with Ok _ -> false | Error _ -> true
+  in
+  check "digit separator" true (bad {|"\u00_4"|});
+  check "non-hex character" true (bad {|"\u00g4"|});
+  check "sign" true (bad {|"\u+041"|});
+  check "short escape" true (bad {|"\u04"|})
+
 let test_diff_identical () =
   Alcotest.(check (list string)) "no drift against itself" []
     (Json.diff sample sample)
@@ -109,9 +121,9 @@ let test_diff_ignored_keys () =
     (Json.diff with_timing without @ Json.diff without with_timing)
 
 let test_diff_ignored_at_depth () =
-  (* The full telemetry set — wall_ms, r_square, generated_at — is
-     ignored however deeply it nests (run-all puts wall_ms on every
-     result row; bench puts r_square on every kernel row). *)
+  (* wall_ms is ignored however deeply it nests (run-all puts it on
+     every result row).  It is the only telemetry key: r_square and
+     generated_at drift like any other key. *)
   let doc wall r2 stamp gated =
     Json.Obj
       [
@@ -132,21 +144,27 @@ let test_diff_ignored_at_depth () =
             ] );
       ]
   in
-  Alcotest.(check (list string)) "telemetry drift at any depth is silent" []
-    (Json.diff (doc 1.0 0.99 "2026-08-01" 7) (doc 250.0 0.42 "2026-08-05" 7));
-  (* ... while a sibling gated value still reports. *)
-  let drifts = Json.diff (doc 1.0 0.99 "a" 7) (doc 250.0 0.42 "b" 8) in
+  let has_sub s sub =
+    let n = String.length s and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check (list string)) "wall_ms drift at any depth is silent" []
+    (Json.diff (doc 1.0 0.99 "a" 7) (doc 250.0 0.99 "a" 7));
+  (* r_square drift at depth reports, and names its key. *)
+  (match Json.diff (doc 1.0 0.99 "a" 7) (doc 250.0 0.42 "a" 7) with
+  | [ d ] -> check "the r_square drift names its key" true (has_sub d "r_square")
+  | drifts ->
+      Alcotest.failf "wanted one r_square drift, got %d" (List.length drifts));
+  (* ... as does a gated sibling, never the wall_ms beside it. *)
+  let drifts = Json.diff (doc 1.0 0.99 "a" 7) (doc 250.0 0.99 "a" 8) in
   Alcotest.(check int) "exactly the gated sibling reports" 1 (List.length drifts);
   check "the drift names the gated key, not the telemetry" true
     (match drifts with
-    | [ d ] ->
-        let has_sub s sub =
-          let n = String.length s and m = String.length sub in
-          let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-          at 0
-        in
-        has_sub d "gated" && not (has_sub d "wall_ms")
+    | [ d ] -> has_sub d "gated" && not (has_sub d "wall_ms")
     | _ -> false);
+  Alcotest.(check int) "r_square, generated_at and gated all report" 3
+    (List.length (Json.diff (doc 1.0 0.99 "a" 7) (doc 250.0 0.42 "b" 8)));
   (* An ignored-named key inside an ARRAY element's object is still
      ignored: the filter applies at every object, whatever its depth. *)
   Alcotest.(check (list string)) "custom ignore list respected" []
@@ -217,6 +235,7 @@ let suite =
     ("float format", `Quick, test_float_format);
     ("parse roundtrip", `Quick, test_parse_roundtrip);
     ("parse errors", `Quick, test_parse_errors);
+    ("parse unicode escapes strictly", `Quick, test_parse_unicode_escape);
     ("diff identical", `Quick, test_diff_identical);
     ("diff tolerance", `Quick, test_diff_tolerance);
     ("diff structure", `Quick, test_diff_structure);

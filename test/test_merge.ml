@@ -227,6 +227,38 @@ let test_merge_rejects_kind_mismatch () =
       expect_error ~substring:"kind" [ s0; ("audit.json", audit) ]
   | _ -> Alcotest.fail "expected two shards"
 
+let test_merge_rejects_unmergeable_kind () =
+  (* Only the experiments and space-audit kinds merge: a complete,
+     well-formed shard set of any other kind is rejected by kind. *)
+  let bench index =
+    ( Printf.sprintf "bench_%d.json" index,
+      Json.Obj
+        [
+          ("kind", Json.Str "oqsc-bench");
+          ("version", Json.Int 1);
+          ("seed", Json.Int seed);
+          ("quick", Json.Bool true);
+          Merge.json_field { Merge.index; count = 2 };
+          ( "kernels",
+            Json.List
+              [
+                Json.Obj
+                  [
+                    ("name", Json.Str (Printf.sprintf "k%d" index));
+                    ("ns_per_run", Json.Float 1.0);
+                    ("r_square", Json.Float 1.0);
+                  ];
+              ] );
+        ] )
+  in
+  match Merge.merge [ bench 0; bench 1 ] with
+  | Ok _ -> Alcotest.fail "an oqsc-bench shard set merged"
+  | Error msg ->
+      check_str "the error lists only the mergeable kinds"
+        "bench_0.json: unsupported document kind \"oqsc-bench\" (mergeable \
+         kinds: oqsc-experiments, oqsc-space-audit)"
+        msg
+
 let test_merge_rejects_overlap () =
   (* Forge shard 1 out of shard 0's payload: indices complete, ids not
      disjoint. *)
@@ -340,6 +372,7 @@ let suite =
     ("merge rejects quick mismatch", `Quick, test_merge_rejects_quick_mismatch);
     ("merge rejects version skew", `Quick, test_merge_rejects_version_skew);
     ("merge rejects kind mismatch", `Quick, test_merge_rejects_kind_mismatch);
+    ("merge rejects an unmergeable kind", `Quick, test_merge_rejects_unmergeable_kind);
     ("merge rejects overlapping payloads", `Quick, test_merge_rejects_overlap);
     ("merge rejects unknown experiment ids", `Quick, test_merge_rejects_unknown_id);
     ("audit shard rows match the full sweep", `Quick, test_audit_shard_rows_match_full_sweep);

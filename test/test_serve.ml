@@ -155,6 +155,26 @@ let test_rejects_malformed () =
   let err = expect_decode_error ~code:Protocol.Parse_error "{nope" in
   check "no id recovered from garbage" true (err.Protocol.id = None)
 
+let test_rejects_deep_nesting () =
+  (* A 16 MiB frame can nest millions deep; the decoder must refuse it
+     at the depth bound instead of descending the whole line. *)
+  let nested depth = String.make depth '[' ^ String.make depth ']' in
+  let rejected_at_bound line =
+    let err = expect_decode_error ~code:Protocol.Parse_error line in
+    check_str "the message names the bound and the offset"
+      (Printf.sprintf "nesting deeper than %d levels at offset %d"
+         Json.max_depth Json.max_depth)
+      err.Protocol.message
+  in
+  let t0 = Unix.gettimeofday () in
+  rejected_at_bound (nested 1_000_000);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check (Printf.sprintf "rejected quickly (%.3f s)" elapsed) true (elapsed < 0.5);
+  rejected_at_bound (nested (Json.max_depth + 1));
+  (* At the bound the line is valid JSON: it gets past the parser and
+     fails only as a request. *)
+  ignore (expect_decode_error ~code:Protocol.Bad_request (nested Json.max_depth))
+
 let test_rejects_unknown_version () =
   let err =
     expect_decode_error ~code:Protocol.Unsupported_version
@@ -1072,6 +1092,7 @@ let suite =
     ("socket: max-clients gates the accept loop", `Quick, test_socket_max_clients_slot_wait);
     ("socket: disconnect with replies in flight never kills the server", `Quick, test_socket_ghost_disconnect_survives);
     ("bench-serve --clients 3 against a live socket", `Quick, test_bench_socket_concurrent_clients);
+    ("deep nesting -> parse_error, fast", `Quick, test_rejects_deep_nesting);
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
