@@ -44,14 +44,32 @@ let ensure_cell live pos =
     live.tape <- bigger
   end
 
+(* The step loop reads a symbol from each tape on every step; these
+   shared values keep those reads from allocating. *)
+let work_zero = Symbol.Sym Symbol.Zero
+let work_one = Symbol.Sym Symbol.One
+let work_hash = Symbol.Sym Symbol.Hash
+let input_zero = Some Symbol.Zero
+let input_one = Some Symbol.One
+let input_hash = Some Symbol.Hash
+
 let read_work live =
   ensure_cell live live.work_pos;
   match Bytes.get live.tape live.work_pos with
   | '_' -> Symbol.Blank
+  | '0' -> work_zero
+  | '1' -> work_one
+  | '#' -> work_hash
   | c -> Symbol.Sym (Symbol.of_char c)
 
 let input_symbol input pos =
-  if pos < String.length input then Some (Symbol.of_char input.[pos]) else None
+  if pos >= String.length input then None
+  else
+    match input.[pos] with
+    | '0' -> input_zero
+    | '1' -> input_one
+    | '#' -> input_hash
+    | c -> Some (Symbol.of_char c)
 
 let apply_action ?output live (a : action) =
   (match (output, a.emit) with

@@ -160,8 +160,11 @@ type step_result =
       next : micro;
     }
 
-let compile p =
-  validate p;
+(* The micro-step semantics of [p]: what one step from [micro] does on
+   the given input and work symbols.  This is the single definition of
+   the compiled machine; {!compile} tabulates it, {!compile_reference}
+   re-derives it on every call. *)
+let semantics p =
   let w = p.width in
   let cell_of r = r * w in
   let zero_sym = Symbol.Sym Symbol.Zero and one_sym = Symbol.Sym Symbol.One in
@@ -369,7 +372,151 @@ let compile p =
         else retreat ~write (pair_next_instr pc ~state:state') cell
       end
   in
-  (* Enumerate the reachable micro-states eagerly. *)
+  transition
+
+(* Every micro-state branches on exactly one symbol: [At pc] on a [Read]
+   branches on the input cell and writes back the work cell it saw; every
+   other micro-state ignores the input and branches on the work cell.  So
+   a state's transitions are four table entries, indexed by that symbol. *)
+let keyed_on_input p = function
+  | At pc -> ( match p.code.(pc) with Read _ -> true | _ -> false)
+  | Walk _ | Site _ | Home _ -> false
+
+let inputs = [| None; Some Symbol.Zero; Some Symbol.One; Some Symbol.Hash |]
+let works =
+  [| Symbol.Blank; Symbol.Sym Symbol.Zero; Symbol.Sym Symbol.One; Symbol.Sym Symbol.Hash |]
+
+let input_key : Symbol.t option -> int = function
+  | None -> 0
+  | Some Symbol.Zero -> 1
+  | Some Symbol.One -> 2
+  | Some Symbol.Hash -> 3
+
+let work_key : Symbol.work -> int = function
+  | Symbol.Blank -> 0
+  | Symbol.Sym Symbol.Zero -> 1
+  | Symbol.Sym Symbol.One -> 2
+  | Symbol.Sym Symbol.Hash -> 3
+
+(* A table entry packs one step into an int:
+     bit 0       the state is keyed on the input (same in all four entries)
+     bit 1       halt, with the verdict in bit 2
+     bits 3-5    write: 0-3 the symbol [works.(c)], 4 the work symbol read
+     bits 6-7    head move: 0 Left, 1 Right, 2 Stay
+     bit 8       advance the input head
+     bits 9-17   emit: 0 none, c + 1 the character c
+     bits 18-    next state *)
+let keyed_bit = 1
+let halt_bit = 2
+let accept_bit = 4
+let echo = 4
+let next_shift = 18
+
+(* [work] is the work symbol the step was computed with.  A write of
+   that same symbol is stored as "write back what was read": in a state
+   keyed on the work cell the two agree, and in a state keyed on the
+   input it is what a [Read] does with whatever cell it sits on. *)
+let pack ~keyed ~work step ~next_id =
+  let keyed = if keyed then keyed_bit else 0 in
+  match step with
+  | Halt_with v -> keyed lor halt_bit lor if v then accept_bit else 0
+  | Step { write; move; advance; emit; next } ->
+      let write = if Symbol.work_equal write work then echo else work_key write in
+      let move = match move with Optm.Left -> 0 | Optm.Right -> 1 | Optm.Stay -> 2 in
+      let emit = match emit with None -> 0 | Some c -> Char.code c + 1 in
+      keyed lor (write lsl 3) lor (move lsl 6)
+      lor (if advance then 1 lsl 8 else 0)
+      lor (emit lsl 9) lor (next_id next lsl next_shift)
+
+let halt_accept = Optm.Halt true
+let halt_reject = Optm.Halt false
+
+let unpack e ~work =
+  if e land halt_bit <> 0 then if e land accept_bit <> 0 then halt_accept else halt_reject
+  else
+    let write = match (e lsr 3) land 7 with c when c = echo -> work | c -> works.(c) in
+    let work_move =
+      match (e lsr 6) land 3 with 0 -> Optm.Left | 1 -> Optm.Right | _ -> Optm.Stay
+    in
+    let emit = match (e lsr 9) land 0x1ff with 0 -> None | c -> Some (Char.chr (c - 1)) in
+    Optm.Branch
+      [
+        ( {
+            Optm.next_state = e lsr next_shift;
+            write;
+            work_move;
+            advance_input = e land (1 lsl 8) <> 0;
+            emit;
+          },
+          1.0 );
+      ]
+
+(* States per table chunk: four entries each, so a chunk is a 128-word
+   block (a small machine allocates one), and the table grows by adding
+   chunks, never by copying entries. *)
+let chunk_bits = 5
+let chunk_states = 1 lsl chunk_bits
+
+let compile p =
+  validate p;
+  let transition = semantics p in
+  (* Depth-first enumeration from [At 0]; ids in discovery order.  Each
+     new state's four entries are recorded as its transitions are
+     computed, so [ids] (keyed on the structured micro-states) is needed
+     only here and is dropped with them once the table is built. *)
+  let ids = Hashtbl.create 256 in
+  let chunks = ref [||] and count = ref 0 in
+  let rec id_of micro =
+    match Hashtbl.find_opt ids micro with
+    | Some i -> i
+    | None ->
+        let i = !count in
+        Hashtbl.add ids micro i;
+        incr count;
+        if i land (chunk_states - 1) = 0 then begin
+          let slot = i lsr chunk_bits in
+          if slot = Array.length !chunks then begin
+            let grown = Array.make (max 4 (2 * slot)) [||] in
+            Array.blit !chunks 0 grown 0 slot;
+            chunks := grown
+          end;
+          !chunks.(slot) <- Array.make (4 * chunk_states) 0
+        end;
+        let keyed = keyed_on_input p micro in
+        let chunk = !chunks.(i lsr chunk_bits) in
+        let base = (i land (chunk_states - 1)) lsl 2 in
+        for key = 0 to 3 do
+          let input = if keyed then inputs.(key) else None in
+          let work = if keyed then Symbol.Blank else works.(key) in
+          chunk.(base + key) <- pack ~keyed ~work (transition micro ~input ~work) ~next_id:id_of
+        done;
+        i
+  in
+  ignore (id_of (At 0));
+  let chunks = !chunks and num_states = !count in
+  let name = Printf.sprintf "compiled:%s" p.name in
+  {
+    Optm.name;
+    num_states;
+    start_state = 0;
+    delta =
+      (fun ~state ~input ~work ->
+        if state < 0 || state >= num_states then
+          Fmt.invalid_arg "OPTM %s: no state %d" name state;
+        let chunk = Array.unsafe_get chunks (state lsr chunk_bits) in
+        let base = (state land (chunk_states - 1)) lsl 2 in
+        let key =
+          if Array.unsafe_get chunk base land keyed_bit <> 0 then input_key input
+          else work_key work
+        in
+        unpack (Array.unsafe_get chunk (base + key)) ~work);
+  }
+
+let compile_reference p =
+  validate p;
+  let transition = semantics p in
+  (* Enumerate the reachable micro-states eagerly, probing all sixteen
+     (input, work) pairs of each. *)
   let ids = Hashtbl.create 256 in
   let table = ref [] and count = ref 0 in
   let rec id_of micro =
@@ -380,13 +527,9 @@ let compile p =
         Hashtbl.add ids micro i;
         incr count;
         table := micro :: !table;
-        let inputs = [ None; Some Symbol.Zero; Some Symbol.One; Some Symbol.Hash ] in
-        let works =
-          [ Symbol.Blank; Symbol.Sym Symbol.Zero; Symbol.Sym Symbol.One; Symbol.Sym Symbol.Hash ]
-        in
-        List.iter
+        Array.iter
           (fun input ->
-            List.iter
+            Array.iter
               (fun work ->
                 match transition micro ~input ~work with
                 | Halt_with _ -> ()
@@ -406,18 +549,17 @@ let compile p =
         match transition micros.(state) ~input ~work with
         | Halt_with v -> Optm.Halt v
         | Step { write; move; advance; emit; next } ->
+            let next_state =
+              match Hashtbl.find_opt ids next with
+              | Some i -> i
+              | None ->
+                  Fmt.failwith
+                    "Program.compile_reference %s: state %d steps outside the enumeration" p.name
+                    state
+            in
             Optm.Branch
               [
-                ( {
-                    Optm.next_state =
-                      (match Hashtbl.find_opt ids next with
-                      | Some i -> i
-                      | None -> 0 (* unreachable: the closure is complete *));
-                    write;
-                    work_move = move;
-                    advance_input = advance;
-                    emit;
-                  },
+                ( { Optm.next_state; write; work_move = move; advance_input = advance; emit },
                   1.0 );
               ]);
   }

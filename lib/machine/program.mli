@@ -64,10 +64,30 @@ val interpret : ?max_steps:int -> t -> string -> run_result
 
 val compile : t -> Optm.t
 (** The real Turing machine.  Control states are the micro-states of the
-    seek/carry/compare walks (enumerated eagerly, so {!Optm.validate}
-    covers all of them); the work tape holds the registers, register [r]
-    occupying cells [r*width .. (r+1)*width - 1], least significant bit
-    first. *)
+    seek/carry/compare walks; the work tape holds the registers, register
+    [r] occupying cells [r*width .. (r+1)*width - 1], least significant
+    bit first.
+
+    The micro-states are enumerated eagerly from the start and their
+    transitions compiled to a table, so [delta] is an array read decoded
+    into an {!Optm.step}, and {!Optm.validate} checks every entry of the
+    table.  The table rests on one invariant of the micro-step semantics:
+    each micro-state branches on exactly one symbol.  A micro-state about
+    to run a [Read] branches on the input cell and writes back the work
+    cell it saw; every other micro-state ignores the input cell.  A state
+    therefore has four entries, not sixteen. *)
+
+val compile_reference : t -> Optm.t
+(** The slow reference for {!compile}, kept for differential tests: the
+    same states, numbered the same way, but enumerated by probing all
+    sixteen (input, work) pairs of each micro-state, and with a [delta]
+    that re-derives the micro-step and looks up the next state's id on
+    every call.  Where the one-symbol invariant holds, its [delta] equals
+    {!compile}'s on every state and every pair of symbols, and its state
+    count is the same.
+    @raise Failure from [delta] on a step to a micro-state the
+    enumeration did not reach (impossible if the enumeration is
+    complete). *)
 
 val compiled_states : t -> int
 (** Number of control states of {!compile} (size measure for reports). *)
@@ -91,11 +111,16 @@ val beacon : t
 
 val ldisj_shape : width:int -> t
 (** Procedure A1 — condition (i) of the Theorem 3.4 proof — as a register
-    program: accepts exactly [1^k#(b#b#b#)^{2^k}] with blocks of length
-    [2^{2k}], for [k <= (width-1)/2] (larger prefixes are rejected by the
-    overflow guard).  Compiled, this is the paper's syntactic checker as
-    a literal O(log n)-cell Turing machine; tests cross-validate it
-    against both {!Lang}'s offline scanner and the streaming A1. *)
+    program: accepts [1^k#(b#b#b#)^{2^k}] with blocks of length
+    [2^{2k}], for [1 <= k <= (width-1)/2].  The overflow guard rejects a
+    prefix [1^j] with [(width-1)/2 < j < 2^width], but the register
+    counting the prefix wraps modulo [2^width] before the guard runs, so
+    [j = k + c * 2^width] reads as [k]: at width 7, [1^129#] (and
+    [1^257#]) followed by a valid k = 1 body is accepted too, though
+    [Lang.Ldisj.well_shaped] calls it malformed.  Compiled, this is the
+    paper's syntactic checker as a literal O(log n)-cell Turing machine;
+    tests cross-validate it against both {!Lang}'s offline scanner and
+    the streaming A1. *)
 
 val fingerprint_eq : p:int -> t:int -> t
 (** Accepts [u#v] iff the polynomial fingerprints agree:

@@ -146,6 +146,45 @@ let test_compiled_states_reported () =
     (Program.compiled_states (Program.run_length_equal ~width:8)
     <= 16 * Program.compiled_states (Program.run_length_equal ~width:2))
 
+(* The compiled transition table against the slow reference that
+   re-derives each micro-step: same state count, and the same step for
+   every state and every (input, work) pair.  A micro-state that looked
+   at both symbols would break the table's four-entries-per-state layout
+   and show up here. *)
+let all_inputs = [ None; Some Symbol.Zero; Some Symbol.One; Some Symbol.Hash ]
+
+let all_works =
+  [ Symbol.Blank; Symbol.Sym Symbol.Zero; Symbol.Sym Symbol.One; Symbol.Sym Symbol.Hash ]
+
+let test_table_matches_reference () =
+  List.iter
+    (fun p ->
+      let fast = Program.compile p and slow = Program.compile_reference p in
+      check_int (p.Program.name ^ " states") slow.Optm.num_states fast.Optm.num_states;
+      for state = 0 to fast.Optm.num_states - 1 do
+        List.iter
+          (fun input ->
+            List.iter
+              (fun work ->
+                if fast.Optm.delta ~state ~input ~work <> slow.Optm.delta ~state ~input ~work
+                then Alcotest.failf "%s: delta differs in state %d" p.Program.name state)
+              all_works)
+          all_inputs
+      done;
+      check (p.Program.name ^ " rejects a state past the table") true
+        (match
+           fast.Optm.delta ~state:fast.Optm.num_states ~input:None ~work:Symbol.Blank
+         with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [
+      Program.parity;
+      Program.run_length_equal ~width:5;
+      Program.beacon;
+      Program.fingerprint_eq ~p:17 ~t:3;
+      Program.ldisj_shape ~width:7;
+    ]
+
 (* ------------------------------------------------------ arithmetic ops *)
 
 let arith_probe ~width code =
@@ -339,12 +378,126 @@ let test_fingerprint_census_is_sketch_sized () =
   done;
   check "census collapses" true (Hashtbl.length seen < 32)
 
+(* Well-formed random programs over every instruction kind.  Most jump
+   targets point forward and only a [Read] that consumes a symbol may
+   jump anywhere, so most programs halt; one target in eight is
+   arbitrary, so some loop forever. *)
+let program_gen =
+  let open QCheck.Gen in
+  let* width = int_range 1 4 in
+  let* registers = int_range 1 4 in
+  let* len = int_range 2 12 in
+  let reg = int_bound (registers - 1) in
+  let anywhere = int_bound (len - 1) in
+  let forward pc = frequency [ (7, int_range (pc + 1) (len - 1)); (1, anywhere) ] in
+  let instr pc =
+    if pc = len - 1 then oneofl [ Program.Accept; Program.Reject ]
+    else
+      let next = forward pc in
+      frequency
+        [
+          ( 3,
+            let+ on_zero = anywhere and+ on_one = anywhere and+ on_hash = anywhere
+            and+ on_eof = next in
+            Program.Read { on_zero; on_one; on_hash; on_eof } );
+          (2, let+ reg = reg and+ next = next in Program.Inc { reg; next });
+          (1, let+ reg = reg and+ next = next in Program.Reset { reg; next });
+          ( 1,
+            let+ reg = reg and+ value = int_bound ((1 lsl width) - 1) and+ next = next in
+            Program.Set { reg; value; next } );
+          (1, let+ dst = reg and+ src = reg and+ next = next in Program.Add { dst; src; next });
+          (1, let+ dst = reg and+ src = reg and+ next = next in Program.Sub { dst; src; next });
+          ( 1,
+            let+ reg_a = reg and+ reg_b = reg and+ if_eq = next and+ if_ne = next in
+            Program.Jump_if_eq { reg_a; reg_b; if_eq; if_ne } );
+          ( 1,
+            let+ reg_a = reg and+ reg_b = reg and+ if_lt = next and+ if_ge = next in
+            Program.Jump_if_lt { reg_a; reg_b; if_lt; if_ge } );
+          ( 1,
+            let+ reg = reg and+ if_max = next and+ if_not = next in
+            Program.Jump_if_max { reg; if_max; if_not } );
+          ( 1,
+            let+ symbol = oneofl [ '0'; '1'; '#' ] and+ next = next in
+            Program.Emit { symbol; next } );
+          (1, map (fun next -> Program.Goto next) next);
+          (1, oneofl [ Program.Accept; Program.Reject ]);
+        ]
+  in
+  let rec code pc acc =
+    if pc < 0 then return (Array.of_list acc)
+    else
+      let* i = instr pc in
+      code (pc - 1) (i :: acc)
+  in
+  let+ code = code (len - 1) [] in
+  { Program.name = "random"; width; registers; code }
+
+let show_instr = function
+  | Program.Read { on_zero; on_one; on_hash; on_eof } ->
+      Printf.sprintf "read 0->%d 1->%d #->%d eof->%d" on_zero on_one on_hash on_eof
+  | Program.Inc { reg; next } -> Printf.sprintf "inc r%d ->%d" reg next
+  | Program.Reset { reg; next } -> Printf.sprintf "reset r%d ->%d" reg next
+  | Program.Set { reg; value; next } -> Printf.sprintf "set r%d %d ->%d" reg value next
+  | Program.Add { dst; src; next } -> Printf.sprintf "add r%d r%d ->%d" dst src next
+  | Program.Sub { dst; src; next } -> Printf.sprintf "sub r%d r%d ->%d" dst src next
+  | Program.Jump_if_eq { reg_a; reg_b; if_eq; if_ne } ->
+      Printf.sprintf "eq r%d r%d ->%d/%d" reg_a reg_b if_eq if_ne
+  | Program.Jump_if_lt { reg_a; reg_b; if_lt; if_ge } ->
+      Printf.sprintf "lt r%d r%d ->%d/%d" reg_a reg_b if_lt if_ge
+  | Program.Jump_if_max { reg; if_max; if_not } ->
+      Printf.sprintf "max r%d ->%d/%d" reg if_max if_not
+  | Program.Emit { symbol; next } -> Printf.sprintf "emit %c ->%d" symbol next
+  | Program.Goto next -> Printf.sprintf "goto %d" next
+  | Program.Accept -> "accept"
+  | Program.Reject -> "reject"
+
+let show_program (p : Program.t) =
+  Printf.sprintf "width %d, %d registers: %s" p.Program.width p.Program.registers
+    (String.concat "; "
+       (List.mapi (fun pc i -> Printf.sprintf "%d: %s" pc (show_instr i))
+          (Array.to_list p.Program.code)))
+
+(* Interpreter step cap, and the compiled machine's cap per interpreter
+   step: no instruction takes more than [w] round trips across a
+   register file of [registers * w] cells. *)
+let interpret_cap = 2_000
+let micro_steps_per_step (p : Program.t) =
+  let w = p.Program.width in
+  4 * w * ((p.Program.registers * w) + 2)
+
 let qcheck_tests =
   let open QCheck in
   let input_gen =
     string_gen_of_size (Gen.int_range 0 30) (Gen.oneofl [ '0'; '1'; '#' ])
   in
+  let program_and_input =
+    make
+      ~print:(fun (p, input) -> Printf.sprintf "%s on %S" (show_program p) input)
+      Gen.(pair program_gen (string_size ~gen:(oneofl [ '0'; '1'; '#' ]) (int_bound 12)))
+  in
   [
+    Test.make ~name:"compiled random program = interpreter" ~count:300 ~max_gen:1_000
+      ~if_assumptions_fail:(`Fatal, 0.5) program_and_input
+      (fun (p, input) ->
+        let reference = Program.interpret ~max_steps:interpret_cap p input in
+        let machine = Program.compile p in
+        match reference.Program.verdict with
+        | None ->
+            (* Every instruction is at least one machine step, so the
+               machine cannot halt within the interpreter's cap either.
+               The case is checked, then discarded: it is no pass. *)
+            let (v, _), _ =
+              Optm.run_deterministic_with_output ~max_steps:interpret_cap machine input
+            in
+            if v <> None then Test.fail_report "machine halts where the interpreter diverges";
+            assume_fail ()
+        | Some _ ->
+            let (v, _), output =
+              Optm.run_deterministic_with_output
+                ~max_steps:(interpret_cap * micro_steps_per_step p)
+                machine input
+            in
+            v = reference.Program.verdict && String.equal output reference.Program.output);
     Test.make ~name:"compiled parity = interpreter on random inputs" ~count:150
       input_gen
       (fun input ->
@@ -383,6 +536,7 @@ let suite =
     ("census is polynomial", `Quick, test_census_is_polynomial);
     ("deterministic cut = BFS", `Quick, test_deterministic_cut_matches_bfs);
     ("compiled state counts", `Quick, test_compiled_states_reported);
+    ("transition table = reference", `Quick, test_table_matches_reference);
     ("set/add/sub semantics", `Quick, test_set_add_sub_semantics);
     ("jump_if_lt", `Quick, test_jump_if_lt);
     ("arith compiled = interpreter", `Quick, test_arith_compiled_matches_interpreter);
