@@ -99,8 +99,6 @@ type reply =
 val code_to_string : error_code -> string
 (** The wire name of a code, e.g. [Queue_full] -> ["queue_full"]. *)
 
-val code_of_string : string -> error_code option
-
 val op_name : op -> string
 (** The wire name of an operation: ["run"], ["sweep"], ["ping"],
     ["stats"], ["metrics"], or ["shutdown"] — what an {!Ok_reply}'s
@@ -123,12 +121,6 @@ type decode_error = {
 
 val request_to_json : request -> Experiments.Json.t
 
-val request_of_json : Experiments.Json.t -> (request, decode_error) result
-(** Strict decode of a request envelope; the error carries the code the
-    server must reply with ([Parse_error] aside: [Bad_request],
-    [Unsupported_version], [Unknown_op], [Unknown_experiment], or
-    [Bad_shard]) and a human-readable message. *)
-
 val reply_to_json : reply -> Experiments.Json.t
 val reply_of_json : Experiments.Json.t -> (reply, string) result
 (** Strict decode of a reply envelope — the client-side validator
@@ -144,8 +136,11 @@ val to_line : Experiments.Json.t -> string
     the pretty form byte-identically after a round trip. *)
 
 val parse_line : string -> (request, decode_error) result
-(** [request_of_json] over a parsed NDJSON line; a JSON syntax error
-    maps to [Parse_error] (with no recoverable id). *)
+(** Strict decode of one NDJSON request line.  The error carries the
+    code the server must reply with — [Parse_error] for a JSON syntax
+    error (with no recoverable id), otherwise [Bad_request],
+    [Unsupported_version], [Unknown_op], [Unknown_experiment], or
+    [Bad_shard] — and a human-readable message. *)
 
 val write_frame : out_channel -> string -> unit
 (** Write one length-prefixed frame: a 4-byte big-endian body length

@@ -12,7 +12,9 @@
    connection that owns it.  Dispatch itself (the parallel batch) runs
    under the engine lock: flushes are serialized, which is exactly what
    keeps admission order, the batching barriers, and the byte-identity
-   contract intact under arbitrary client interleaving.
+   contract intact under arbitrary client interleaving.  The payload
+   cache is engine state like the rest: only a flush touches it, under
+   the same lock, so it needs no lock of its own.
 
    Telemetry discipline: the metrics registry, the request log, and the
    trace spans below are all write-only with respect to the gated JSON
@@ -27,6 +29,12 @@ module Json = Experiments.Json
 let default_capacity = 64
 let default_batch = 8
 let default_stats_window = 1024
+
+(* How many completed run/sweep payloads an engine keeps.  A payload is
+   a pure function of its decoded op (the byte-identity contract), so a
+   stored one answers a repeat exactly; FIFO eviction bounds the memory
+   however many distinct requests a long-lived server sees. *)
+let cache_entries = 256
 
 type sink = Protocol.reply -> unit
 
@@ -52,6 +60,8 @@ type t = {
   lat : float array;  (* ring of the last [window] completed latencies *)
   registry : Obs.Metrics.registry;
   log : Reqlog.t option;
+  cache : (Protocol.op, Json.t) Hashtbl.t;
+  cache_order : Protocol.op Stdlib.Queue.t;  (* cached keys, oldest first *)
   mutable lat_count : int;  (* completed run/sweep total, monotone *)
   mutable completed : int;
   mutable errors : int;  (* non-backpressure error replies *)
@@ -68,6 +78,7 @@ let counter_names =
     "serve_rejected_total";
     "serve_dropped_total";
     "serve_flushes_total";
+    "serve_cache_hits_total";
   ]
 
 let gauge_names =
@@ -108,6 +119,8 @@ let create ?(capacity = default_capacity) ?(batch = default_batch)
     lat = Array.make stats_window 0.0;
     registry;
     log;
+    cache = Hashtbl.create cache_entries;
+    cache_order = Stdlib.Queue.create ();
     lat_count = 0;
     completed = 0;
     errors = 0;
@@ -153,12 +166,30 @@ let count_outcome t ?(rejection = false) ~delivered reply =
 
 (* ---------------------------------------------------------- dispatch *)
 
-(* One queued request to its reply, on whichever domain runs the chunk.
-   The trace span mirrors the registry's experiment.<id> spans: opt-in,
+(* The document a run/sweep op names: exactly what the one-shot CLI
+   emits at the same arguments. *)
+let document = function
+  | Protocol.Run { exp; quick; seed } ->
+      Experiments.Registry.document ~quick ~seed exp
+  | Protocol.Sweep { index; count; quick; seed } ->
+      let rows =
+        Experiments.Space_audit.rows ~quick ~shard:(index, count) ~seed ()
+      in
+      Experiments.Space_audit.shard_to_json ~shard:(index, count) ~seed ~quick
+        rows
+  | Protocol.Ping | Protocol.Stats | Protocol.Metrics | Protocol.Shutdown ->
+      (* Control ops never enter the queue (see [submit]). *)
+      assert false
+
+(* One queued request to its reply, on whichever domain runs it.
+   [produce] is the request's work: the document computation for a
+   miss, the lookup for a repeat; [wall_ms] times exactly that.  The
+   trace span mirrors the registry's experiment.<id> spans: opt-in,
    wall-clock, write-only w.r.t. everything gated.  The flow_end inside
    the span is the arrowhead of the admission-to-dispatch flow arrow
-   started in [submit_locked]. *)
-let dispatch t (p : pending) : Protocol.reply =
+   started in [submit_locked], so every admitted request gets one,
+   however it was answered. *)
+let answer t (p : pending) produce : Protocol.reply =
   let req = p.preq in
   let t0 = Obs.Trace.now_ns () in
   match
@@ -170,19 +201,7 @@ let dispatch t (p : pending) : Protocol.reply =
         ]
       (fun () ->
         Obs.Trace.flow_end ~id:p.flow "serve.request";
-        match req.Protocol.op with
-        | Protocol.Run { exp; quick; seed } ->
-            Experiments.Registry.document ~quick ~seed exp
-        | Protocol.Sweep { index; count; quick; seed } ->
-            let rows =
-              Experiments.Space_audit.rows ~quick ~shard:(index, count) ~seed ()
-            in
-            Experiments.Space_audit.shard_to_json ~shard:(index, count) ~seed
-              ~quick rows
-        | Protocol.Ping | Protocol.Stats | Protocol.Metrics
-        | Protocol.Shutdown ->
-            (* Control ops never enter the queue (see [submit]). *)
-            assert false)
+        produce ())
   with
   | payload ->
       let wall_ms = ms_since t0 in
@@ -209,6 +228,66 @@ let dispatch t (p : pending) : Protocol.reply =
           message = Printexc.to_string e;
         }
 
+let store t op payload =
+  if Hashtbl.length t.cache >= cache_entries then
+    Hashtbl.remove t.cache (Stdlib.Queue.pop t.cache_order);
+  Hashtbl.replace t.cache op payload;
+  Stdlib.Queue.push op t.cache_order
+
+(* The request answered from a stored payload, or [None] on a miss. *)
+let from_cache t (p : pending) =
+  let op = p.preq.Protocol.op in
+  if Hashtbl.mem t.cache op then begin
+    Obs.Metrics.counter_incr ~registry:t.registry "serve_cache_hits_total";
+    Some (answer t p (fun () -> Hashtbl.find t.cache op))
+  end
+  else None
+
+(* A drained batch to one reply per request, in admission order.  On
+   the calling domain, repeats of stored payloads are answered from the
+   cache, and only the first occurrence of each missed op is kept.
+   Those distinct misses run across domains — one per chunk, exactly
+   the one-shot CLI's scheduling; the chunk PRNGs are unused, since
+   every payload derives its randomness from the request's own seed —
+   and their payloads are stored (an internal_error never is).  The
+   later occurrences of a missed op are then ordinary hits; if its
+   first occurrence failed, they are computed in turn. *)
+let resolve t (batch : pending array) =
+  let replies = Array.map (from_cache t) batch in
+  let misses = ref [] in
+  Array.iteri
+    (fun i reply ->
+      let op = batch.(i).preq.Protocol.op in
+      if
+        Option.is_none reply
+        && not (List.exists (fun j -> batch.(j).preq.Protocol.op = op) !misses)
+      then misses := i :: !misses)
+    replies;
+  let misses = Array.of_list (List.rev !misses) in
+  if Array.length misses > 0 then
+    Mathx.Parallel.map_chunks ?domains:t.domains ~chunks:(Array.length misses)
+      (fun ~chunk ~rng:_ ->
+        let p = batch.(misses.(chunk)) in
+        answer t p (fun () -> document p.preq.Protocol.op))
+      ~rng:(Mathx.Rng.create 0)
+    |> List.iteri (fun j reply ->
+           let i = misses.(j) in
+           replies.(i) <- Some reply;
+           match reply with
+           | Protocol.Ok_reply { payload; _ } ->
+               store t batch.(i).preq.Protocol.op payload
+           | Protocol.Error_reply _ -> ());
+  Array.mapi
+    (fun i reply ->
+      match reply with
+      | Some reply -> reply
+      | None -> (
+          let p = batch.(i) in
+          match from_cache t p with
+          | Some reply -> reply
+          | None -> answer t p (fun () -> document p.preq.Protocol.op)))
+    replies
+
 (* The engine lock is held at every [record]/[deliver] site below, so
    the counters, the ring, and per-connection reply order are all
    updated atomically with respect to other connections. *)
@@ -220,10 +299,8 @@ let record t = function
       t.lat_count <- t.lat_count + 1
   | Protocol.Error_reply _ -> t.errors <- t.errors + 1
 
-(* Flush the queue as one batch across domains — one request per chunk,
-   replies routed to each request's own connection in admission order.
-   The chunk PRNGs are unused: every payload derives its randomness
-   from the request's own seed, exactly like the one-shot CLI. *)
+(* Flush the queue as one batch ([resolve]), then deliver each reply to
+   its request's own connection, in admission order. *)
 let flush_locked t =
   match Queue.drain t.queue with
   | [] -> ()
@@ -237,13 +314,10 @@ let flush_locked t =
       let replies =
         Obs.Trace.with_span "serve.flush"
           ~args:[ ("batch", Obs.Trace.Int n) ]
-          (fun () ->
-            Mathx.Parallel.map_chunks ?domains:t.domains ~chunks:n
-              (fun ~chunk ~rng:_ -> dispatch t arr.(chunk))
-              ~rng:(Mathx.Rng.create 0))
+          (fun () -> resolve t arr)
       in
       Obs.Metrics.observe ~registry:t.registry "serve_flush_ms" (ms_since t0);
-      List.iteri
+      Array.iteri
         (fun i reply ->
           let p = arr.(i) in
           let id = Some p.preq.Protocol.id in
@@ -273,6 +347,7 @@ let percentile sorted q =
 
 let stats_window t = t.window
 let recorded_latencies t = min t.lat_count t.window
+let cached_payloads t = Mutex.protect t.lock (fun () -> Hashtbl.length t.cache)
 
 let stats_locked t =
   let sorted = Array.sub t.lat 0 (recorded_latencies t) in
@@ -305,10 +380,6 @@ let metrics_snapshot_locked t =
   Obs.Metrics.gauge_set ~registry:t.registry "trace_dropped_events"
     (Obs.Trace.dropped ());
   Obs.Metrics.snapshot ~registry:t.registry ()
-
-let metrics_payload t =
-  Mutex.protect t.lock (fun () ->
-      Experiments.Metrics_doc.document (metrics_snapshot_locked t))
 
 let metrics_text t =
   Mutex.protect t.lock (fun () ->

@@ -1,9 +1,10 @@
 (** The long-lived request/reply engine behind [oqsc serve].
 
     One {!t} owns a bounded admission queue ({!Queue}), latency
-    accounting, and the dispatch path onto the experiment registry.
-    The engine itself is transport-free and thread-safe: a single
-    mutex guards the queue, the counters, and the latency ring, and
+    accounting, a bounded cache of completed payloads, and the dispatch
+    path onto the experiment registry.  The engine itself is
+    transport-free and thread-safe: a single mutex guards the queue,
+    the counters, the latency ring, and the payload cache, and
     every admitted request carries the {e reply sink} of whoever
     submitted it, so a flush forced by one connection routes each
     reply back to the connection that owns it.  The two wire
@@ -19,12 +20,20 @@
     enter the queue and their replies appear at the next {e flush},
     which happens when the queue reaches the batch size, when a control
     request ([ping]/[stats]/[shutdown] — barriers) arrives on {e any}
-    connection, or at end of input.  A flush executes the whole batch
-    across domains via [Mathx.Parallel.map_chunks] — one request per
-    chunk, exactly the one-shot CLI's scheduling — and emits the
-    replies in admission order, each to its own connection.  Flushes
-    are serialized by the engine lock, so replies on one connection
-    are totally ordered even under concurrent clients.  Admission to a
+    connection, or at end of input.  A flush first answers, on the
+    calling domain, every request whose payload the engine already
+    holds (a {e hit}) and collapses identical requests within the batch
+    onto one computation; the distinct misses then run across domains
+    via [Mathx.Parallel.map_chunks] — one request per chunk, exactly
+    the one-shot CLI's scheduling — and their payloads are stored.
+    The flush emits the replies in admission order, each to its own
+    connection, so a hit is answered at the next flush like any other
+    request, never at admission.  The cache holds the payloads of the
+    last 256 distinct requests computed (FIFO eviction, a fixed bound
+    with no knob); an [internal_error] is never stored, so the repeats
+    of a failed request are computed in turn.  Flushes are
+    serialized by the engine lock, so replies on one connection are
+    totally ordered even under concurrent clients.  Admission to a
     full queue is answered immediately with a [queue_full] error
     reply: backpressure is explicit and never blocks the connection.
 
@@ -33,9 +42,11 @@
     A [run] reply's payload is [Experiments.Registry.document], a pure
     function of (exp, quick, seed) — byte-identical to
     [run-all --only exp] output; a [sweep] payload likewise matches
-    [space-audit --shard].  Batching, queue capacity, domain counts,
-    client counts, and request interleaving affect only latency
-    envelopes ([wall_ms]), never a payload byte.
+    [space-audit --shard].  That purity is what makes the payload cache
+    exact: a repeat's stored payload is the bytes a recomputation would
+    give.  Batching, queue capacity, domain counts, client counts,
+    request interleaving, and whether a request hit the cache affect
+    only latency envelopes ([wall_ms]), never a payload byte.
 
     {2 Telemetry}
 
@@ -44,10 +55,14 @@
     a flow arrow per request; [serve.flush] around each batch) feed the
     latency accounting that [stats] replies serve as p50/p99 over a
     bounded window of the most recent {!stats_window} completed
-    requests.  The engine also feeds an [Obs.Metrics] registry
-    (counters [serve_requests_total], [serve_replies_ok_total],
+    requests.  A hit still opens its [serve.request] span (so every
+    flow arrow has its arrowhead), and its [wall_ms] — hence its share
+    of p50/p99 — is the lookup time, not a computation.  The engine
+    also feeds an [Obs.Metrics] registry (counters
+    [serve_requests_total], [serve_replies_ok_total],
     [serve_replies_error_total], [serve_rejected_total],
-    [serve_dropped_total], [serve_flushes_total]; gauges
+    [serve_dropped_total], [serve_flushes_total],
+    [serve_cache_hits_total]; gauges
     [serve_queue_depth], [serve_queue_peak],
     [serve_connections_active], [trace_dropped_events]; latency/batch
     histograms) and, when [create] is given a {!Reqlog.t}, writes one
@@ -55,7 +70,11 @@
     is write-only with respect to the gated JSON outputs, and the
     accounting identity [requests_total = replies_ok + replies_error +
     rejected + dropped] holds at every [metrics] reply because a
-    request is counted and bucketed in one locked step. *)
+    request is counted and bucketed in one locked step.
+    [serve_cache_hits_total] (requests answered without a computation
+    of their own: from the cache, or from an identical request in the
+    same batch) stands outside that identity: a hit is already
+    counted in its reply's bucket, normally [serve_replies_ok_total]. *)
 
 type t
 
@@ -64,12 +83,6 @@ val default_capacity : int
 
 val default_batch : int
 (** Flush threshold when [create] is not told otherwise: 8. *)
-
-val default_stats_window : int
-(** Latency-ring size when [create] is not told otherwise: 1024.  The
-    ring bounds the engine's per-request memory: a server that has
-    completed millions of requests still holds exactly this many
-    latencies. *)
 
 val default_max_clients : int
 (** Concurrent-connection cap when {!serve_socket} is not told
@@ -86,7 +99,8 @@ val create :
   t
 (** A fresh engine.  [capacity] bounds the admission queue ([>= 1]);
     [batch] ([>= 1]) is the queue length that triggers a flush;
-    [stats_window] ([>= 1]) bounds the latency ring behind p50/p99;
+    [stats_window] ([>= 1], default 1024) bounds the latency ring
+    behind p50/p99, and with it the engine's per-request memory;
     [domains] caps the parallel runner (default:
     [Mathx.Parallel.recommended_domains]); [registry] receives the
     engine's metrics (default [Obs.Metrics.default] — every serve
@@ -140,13 +154,6 @@ val flush_routed : t -> unit
     replies are dropped by its sink — and counted, see
     [serve_dropped_total]). *)
 
-val reply_transport_error :
-  t -> ?conn:int -> reply:(Protocol.reply -> unit) -> string -> unit
-(** Answer a transport-level violation (socket framing): deliver a
-    [frame_error] reply on [reply] and account for it exactly like any
-    other rejected input — one [errors] stat, one [requests_total],
-    one [rejected] log event. *)
-
 (** {2 Sequential interface (stdin/stdout, in-process replay)} *)
 
 val submit : t -> Protocol.request -> outcome
@@ -169,15 +176,12 @@ val stats_payload : t -> Experiments.Json.t
     latency over the stats window, queue capacity and high-water mark,
     trace-ring drop count, uptime. *)
 
-val metrics_payload : t -> Experiments.Json.t
-(** The [metrics] reply payload: the engine registry's snapshot as the
-    [oqsc-metrics] document ([Experiments.Metrics_doc.document]), with
-    the state gauges (queue depth/peak, trace drops) refreshed under
-    the engine lock so the scrape is self-consistent. *)
-
 val metrics_text : t -> string
-(** The same snapshot as {!metrics_payload}, rendered in Prometheus
-    text exposition format ([Obs.Metrics.to_prometheus]) — what
+(** The engine registry's snapshot — what a [metrics] reply carries as
+    the [oqsc-metrics] document — rendered in Prometheus text
+    exposition format ([Obs.Metrics.to_prometheus]), with the state
+    gauges (queue depth/peak, trace drops) refreshed under the engine
+    lock so the scrape is self-consistent.  This is what
     [oqsc serve --metrics-file] writes. *)
 
 val stats_window : t -> int
@@ -188,6 +192,11 @@ val recorded_latencies : t -> int
     [min completed (stats_window t)].  Regression hook for the bounded-
     memory contract — this value never exceeds {!stats_window}
     however many requests the server has completed. *)
+
+val cached_payloads : t -> int
+(** How many payloads the cache currently holds.  Regression hook for
+    the same bounded-memory contract: this value never exceeds 256
+    however many distinct requests the server has answered. *)
 
 (** {2 Transports} *)
 

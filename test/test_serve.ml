@@ -619,6 +619,153 @@ let test_sweep_payload_matches_oneshot () =
        (Experiments.Space_audit.shard_to_json ~shard ~seed ~quick:true rows))
     (served_payload t {|{"v":1,"id":"g","op":"sweep","index":0,"of":5,"quick":true}|})
 
+(* ----------------------------------------------------- payload cache *)
+
+let sweep_line ?(seed = 2006) id index =
+  Printf.sprintf
+    {|{"v":1,"id":"%s","op":"sweep","index":%d,"of":5,"quick":true,"seed":%d}|}
+    id index seed
+
+let oneshot_sweep ~seed index =
+  let shard = (index, 5) in
+  Json.to_string
+    (Experiments.Space_audit.shard_to_json ~shard ~seed ~quick:true
+       (Experiments.Space_audit.rows ~quick:true ~shard ~seed ()))
+
+(* One metrics barrier; the counters it read, by name.  The barrier is
+   itself a request, so read every value of one check from one scrape. *)
+let scrape t =
+  match List.rev (submit_line t {|{"v":2,"id":"m","op":"metrics"}|}).Server.replies with
+  | Protocol.Ok_reply { payload; _ } :: _ -> (
+      fun name ->
+        match metric_value payload name with
+        | Some (Json.Int n) -> n
+        | _ -> Alcotest.failf "metric %s missing from the snapshot" name)
+  | _ -> Alcotest.fail "wanted a metrics ok reply"
+
+let test_cache_repeats_across_flushes () =
+  (* Each request is flushed on its own (served_payload sends a ping
+     barrier), so every repeat finds the first answer stored: three
+     keys, three rounds, six hits — and every served payload is still
+     the one-shot document byte for byte. *)
+  let t = Server.create ~registry:(Obs.Metrics.create_registry ()) () in
+  let keys =
+    [
+      ( run_line ~seed:2006 "g" "e2",
+        Json.to_string (Experiments.Registry.document ~quick:true ~seed:2006 "e2") );
+      ( run_line ~seed:7 "g" "e13",
+        Json.to_string (Experiments.Registry.document ~quick:true ~seed:7 "e13") );
+      (sweep_line ~seed:2006 "g" 0, oneshot_sweep ~seed:2006 0);
+    ]
+  in
+  for round = 1 to 3 do
+    List.iter
+      (fun (line, expected) ->
+        check_str
+          (Printf.sprintf "round %d: served = one-shot" round)
+          expected (served_payload t line))
+      keys
+  done;
+  check_int "one stored payload per key" 3 (Server.cached_payloads t);
+  let v = scrape t in
+  check_int "every repeat is a hit" 6 (v "serve_cache_hits_total");
+  check_int "hits are ok replies: the identity still holds"
+    (v "serve_requests_total")
+    (v "serve_replies_ok_total"
+    + v "serve_replies_error_total"
+    + v "serve_rejected_total"
+    + v "serve_dropped_total")
+
+let experiment_begins name (d : Obs.Trace.dump) =
+  List.length
+    (List.filter
+       (fun (e : Obs.Trace.event) ->
+         e.Obs.Trace.kind = Obs.Trace.Begin && String.equal e.Obs.Trace.name name)
+       d.Obs.Trace.events)
+
+let with_trace f =
+  Obs.Trace.start ();
+  Fun.protect
+    ~finally:(fun () -> if Obs.Trace.enabled () then ignore (Obs.Trace.stop ()))
+    f
+
+let test_cache_collapses_batch () =
+  (* Two identical requests in one batch: one computation, two replies
+     carrying the same one-shot bytes, one hit. *)
+  let t =
+    Server.create ~capacity:8 ~batch:8 ~domains:2
+      ~registry:(Obs.Metrics.create_registry ())
+      ()
+  in
+  let replies, dump =
+    with_trace (fun () ->
+        ignore (submit_line t (run_line ~seed:5 "a" "e12"));
+        ignore (submit_line t (run_line ~seed:5 "b" "e12"));
+        let o = submit_line t {|{"v":1,"id":"p","op":"ping"}|} in
+        (o.Server.replies, Obs.Trace.stop ()))
+  in
+  check_int "computed once" 1 (experiment_begins "experiment.e12" dump);
+  check_int "every request still opens its serve.request span" 2
+    (experiment_begins "serve.request" dump);
+  let expected =
+    Json.to_string (Experiments.Registry.document ~quick:true ~seed:5 "e12")
+  in
+  Alcotest.(check (list string))
+    "both answered, in admission order" [ "a"; "b"; "p" ]
+    (List.map reply_id replies);
+  List.iter
+    (function
+      | Protocol.Ok_reply { op = "run"; payload; _ } ->
+          check_str "collapsed payload = one-shot" expected
+            (Json.to_string payload)
+      | _ -> ())
+    replies;
+  check_int "the collapsed repeat is a hit" 1
+    (scrape t "serve_cache_hits_total")
+
+let test_cache_bounded () =
+  (* More distinct keys than the cache holds: every reply is still the
+     one-shot document, the cache stops at 256 payloads, and a key
+     evicted first-in-first-out is recomputed, not served stale. *)
+  let t = Server.create ~registry:(Obs.Metrics.create_registry ()) () in
+  let payloads = Hashtbl.create 300 in
+  let collect { Server.replies; _ } =
+    List.iter
+      (function
+        | Protocol.Ok_reply { op = "run"; id; payload; _ } ->
+            Hashtbl.replace payloads id (Json.to_string payload)
+        | _ -> ())
+      replies
+  in
+  let seeds = List.init 300 (fun i -> i + 1) in
+  List.iter
+    (fun seed ->
+      collect (submit_line t (run_line ~seed (Printf.sprintf "s%d" seed) "e12")))
+    seeds;
+  collect { Server.replies = Server.finish t; stop = false };
+  check_int "the cache fills to its bound" 256 (Server.cached_payloads t);
+  check_int "no repeats, no hits" 0 (scrape t "serve_cache_hits_total");
+  (* Seed 1 went in first, so it is gone; seed 300 went in last. *)
+  List.iter
+    (fun seed ->
+      collect (submit_line t (run_line ~seed (Printf.sprintf "again%d" seed) "e12")))
+    [ 1; 300 ];
+  collect { Server.replies = Server.finish t; stop = false };
+  check_int "the evicted key missed, the newest hit" 1
+    (scrape t "serve_cache_hits_total");
+  check "still bounded" true (Server.cached_payloads t <= 256);
+  let expect id seed =
+    check_str
+      (Printf.sprintf "%s = one-shot e12 seed %d" id seed)
+      (Json.to_string (Experiments.Registry.document ~quick:true ~seed "e12"))
+      (match Hashtbl.find_opt payloads id with
+      | Some p -> p
+      | None -> Alcotest.failf "no reply for %s" id)
+  in
+  List.iter (fun seed -> expect (Printf.sprintf "s%d" seed) seed) seeds;
+  expect "again1" 1;
+  expect "again300" 300
+
 (* ------------------------------------------------------- bench-serve *)
 
 let mix =
@@ -662,6 +809,36 @@ let test_bench_rejects_reserved_ids () =
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bench.* ids are reserved"
+
+let test_cache_hits_trace_lints () =
+  (* A traced replay where most run/sweep requests are hits: every flow
+     arrow started at admission still ends in a serve.request span, so
+     the exported timeline lints clean, flow pairing included. *)
+  let dump =
+    with_trace (fun () ->
+        (match
+           Serve.Bench_serve.replay_in_process ~repeat:4 ~capacity:8 ~batch:2
+             mix
+         with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "replay failed: %s" msg);
+        Obs.Trace.stop ())
+  in
+  check "the replay hit the cache: 8 run/sweep requests, 2 computations" true
+    (experiment_begins "serve.request" dump = 8
+    && experiment_begins "experiment.e2" dump = 1);
+  let doc =
+    match
+      Json.parse (Json.to_string (Experiments.Chrome_trace.document dump))
+    with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "trace does not re-parse: %s" msg
+  in
+  match Experiments.Chrome_trace.lint doc with
+  | Ok _ -> ()
+  | Error problems ->
+      Alcotest.failf "trace with cache hits failed lint: %s"
+        (String.concat "; " problems)
 
 (* ----------------------------------------------- stats regressions *)
 
@@ -1097,3 +1274,9 @@ let suite =
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
       [ prop_request_roundtrip; prop_reply_roundtrip; prop_interleaving_multiset ]
+  @ [
+      ("cache: repeats across flushes = one-shot bytes, counted as hits", `Quick, test_cache_repeats_across_flushes);
+      ("cache: identical requests in one batch computed once", `Quick, test_cache_collapses_batch);
+      ("cache: bounded; FIFO eviction recomputes", `Quick, test_cache_bounded);
+      ("cache: traced replay with hits passes trace-lint", `Quick, test_cache_hits_trace_lints);
+    ]
