@@ -10,11 +10,6 @@
     [bi] the target; the convention [ai = bi] denotes the identity (a
     no-op the machine may emit while thinking). *)
 
-val gate_code : Gate.t -> int * int * int
-(** [(a, b, c)] encoding of a basis gate.  For H/T the second index is set
-    to [a + 1] so that it never collides with the identity convention.
-    @raise Invalid_argument on a non-basis gate. *)
-
 val emit : Circ.t -> string
 (** Serialises a basis-only circuit.
     @raise Invalid_argument if the circuit contains structured gates. *)

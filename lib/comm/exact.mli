@@ -24,13 +24,11 @@ val eq_mask : int -> int -> bool
     collapses to O(log n) under randomness (the fingerprint protocol),
     while Theorem 3.2 says DISJ stays Ω(n). *)
 
-val distinct_rows_of : n:int -> (int -> int -> bool) -> int
-(** Distinct rows of the 2^n x 2^n matrix of an arbitrary two-party
-    predicate over bit masks ([n <= 13]). *)
-
 val one_way_cc_of : n:int -> (int -> int -> bool) -> int
-(** [ceil(log2 (distinct_rows_of n f))] — the exact deterministic one-way
-    communication complexity of [f]. *)
+(** [ceil(log2 d)], where [d] is the number of distinct rows of the
+    2^n x 2^n matrix of the two-party predicate [f] over bit masks
+    ([n <= 13]) — the exact deterministic one-way communication
+    complexity of [f]. *)
 
 val distinct_rows : n:int -> int
 (** Number of distinct rows of the 2^n x 2^n DISJ matrix ([n <= 13]). *)

@@ -88,27 +88,31 @@ let write path dump =
 
 type stats = { events : int; tracks : int; max_depth : int }
 
+module D = Json.Decode
+
+(* Every finding is reported, not only the first: each key is decoded
+   on its own. *)
 let lint doc =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  let field obj k = match obj with Json.Obj kvs -> List.assoc_opt k kvs | _ -> None in
+  let found f = try Some (f ()) with D.Error m -> errors := m :: !errors; None in
+  let key o k conv = found (fun () -> D.req o k conv) in
   (* Envelope. *)
-  (match field doc "kind" with
-  | Some (Json.Str "oqsc-trace") -> ()
-  | _ -> err "kind: expected \"oqsc-trace\"");
-  (match field doc "version" with
-  | Some (Json.Int 1) -> ()
-  | _ -> err "version: expected 1");
-  (match field doc "dropped" with
-  | Some (Json.Int 0) -> ()
-  | Some (Json.Int n) -> err "dropped: %d event(s) lost to a full buffer" n
-  | _ -> err "dropped: missing or not an int");
+  let envelope o =
+    (match key o "kind" D.str with
+    | Some "oqsc-trace" | None -> ()
+    | Some k -> err "kind: expected \"oqsc-trace\", got %S" k);
+    (match key o "version" D.int with
+    | Some 1 | None -> ()
+    | Some v -> err "version: expected 1, got %d" v);
+    (match key o "dropped" D.int with
+    | Some 0 | None -> ()
+    | Some n -> err "dropped: %d event(s) lost to a full buffer" n);
+    key o "traceEvents" (D.list D.any)
+  in
   let events =
-    match field doc "traceEvents" with
-    | Some (Json.List evs) -> evs
-    | _ ->
-        err "traceEvents: missing or not an array";
-        []
+    Option.join (found (fun () -> D.obj envelope (D.Root "") doc))
+    |> Option.value ~default:[]
   in
   (* Per-track state: open-span name stack and the last timestamp. *)
   let tracks : (int, string list ref * float ref) Hashtbl.t =
@@ -127,61 +131,55 @@ let lint doc =
         s
   in
   let max_depth = ref 0 and counted = ref 0 in
+  let event i o =
+    match D.req o "ph" D.str with
+    | "M" -> ()
+    | ph -> (
+        incr counted;
+        let name = Option.value (key o "name" D.str) ~default:"" in
+        let tid = key o "tid" D.number in
+        let ts = key o "ts" D.number in
+        match (tid, ts) with
+        | None, _ | _, None -> ()
+        | Some tid, Some ts -> (
+            let tid = int_of_float tid in
+            let stack, last_ts =
+              match Hashtbl.find_opt tracks tid with
+              | Some s -> s
+              | None ->
+                  let s = (ref [], ref neg_infinity) in
+                  Hashtbl.add tracks tid s;
+                  s
+            in
+            if ts < !last_ts then
+              err "event %d: ts %g decreases (track %d was at %g)" i ts tid
+                !last_ts;
+            last_ts := ts;
+            match ph with
+            | "B" ->
+                stack := name :: !stack;
+                max_depth := max !max_depth (List.length !stack)
+            | "E" -> (
+                match !stack with
+                | [] -> err "event %d: E %S on track %d with no open span" i name tid
+                | top :: rest ->
+                    if name <> "" && name <> top then
+                      err "event %d: E %S closes open span %S on track %d" i
+                        name top tid;
+                    stack := rest)
+            | "i" | "C" -> ()
+            | "s" | "f" -> (
+                match key o "id" D.str with
+                | None -> ()
+                | Some id ->
+                    let starts, ends = flow_slot id in
+                    if ph = "s" then Stdlib.incr starts else Stdlib.incr ends)
+            | ph -> err "event %d: unknown ph %S" i ph))
+  in
   List.iteri
     (fun i ev ->
-      let str k = match field ev k with Some (Json.Str s) -> Some s | _ -> None in
-      let num k =
-        match field ev k with
-        | Some (Json.Int n) -> Some (float_of_int n)
-        | Some (Json.Float f) -> Some f
-        | _ -> None
-      in
-      match str "ph" with
-      | None -> err "event %d: missing ph" i
-      | Some "M" -> ()
-      | Some ph -> (
-          incr counted;
-          let name = str "name" and tid = num "tid" and ts = num "ts" in
-          (if name = None then err "event %d (ph %s): missing name" i ph);
-          match (tid, ts) with
-          | None, _ -> err "event %d (ph %s): missing tid" i ph
-          | _, None -> err "event %d (ph %s): missing ts" i ph
-          | Some tid, Some ts -> (
-              let tid = int_of_float tid in
-              let stack, last_ts =
-                match Hashtbl.find_opt tracks tid with
-                | Some s -> s
-                | None ->
-                    let s = (ref [], ref neg_infinity) in
-                    Hashtbl.add tracks tid s;
-                    s
-              in
-              if ts < !last_ts then
-                err "event %d: ts %g decreases (track %d was at %g)" i ts tid
-                  !last_ts;
-              last_ts := ts;
-              let name = Option.value name ~default:"" in
-              match ph with
-              | "B" ->
-                  stack := name :: !stack;
-                  max_depth := max !max_depth (List.length !stack)
-              | "E" -> (
-                  match !stack with
-                  | [] -> err "event %d: E %S on track %d with no open span" i name tid
-                  | top :: rest ->
-                      if name <> "" && name <> top then
-                        err "event %d: E %S closes open span %S on track %d" i
-                          name top tid;
-                      stack := rest)
-              | "i" | "C" -> ()
-              | "s" | "f" -> (
-                  match str "id" with
-                  | None -> err "event %d: flow %s without a string id" i ph
-                  | Some id ->
-                      let starts, ends = flow_slot id in
-                      if ph = "s" then Stdlib.incr starts
-                      else Stdlib.incr ends)
-              | ph -> err "event %d: unknown ph %S" i ph)))
+      let label = Printf.sprintf "event %d" i in
+      ignore (found (fun () -> D.obj (event i) (D.Root label) ev)))
     events;
   Hashtbl.iter
     (fun tid (stack, _) ->

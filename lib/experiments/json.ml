@@ -1,12 +1,15 @@
 (* Minimal self-contained JSON for the experiment/bench result pipeline.
 
-   Three pieces, no external dependency:
+   Four pieces, no external dependency:
 
-   - a stable emitter: object keys are sorted and floats use one fixed
-     format, so two equal documents are byte-identical — the property
-     the seed-determinism contract of `run-all --json` rests on;
+   - a stable emitter, pretty ([to_string]) or one-line ([to_line]):
+     object keys are sorted and floats use one fixed format, so two
+     equal documents are byte-identical — the property the
+     seed-determinism contract of `run-all --json` rests on;
    - a parser (strict enough for documents this module emits, plus
      ordinary hand-edited baselines);
+   - [Decode], the strict typed reader every consumer of a parsed
+     document uses;
    - a structural diff with a relative tolerance on numeric leaves,
      which is what `--check BASELINE.json --tolerance PCT` runs.
 
@@ -29,8 +32,7 @@ let float_repr v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
   else Printf.sprintf "%.12g" v
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_escaped buf s =
   String.iter
     (fun c ->
       match c with
@@ -42,12 +44,23 @@ let escape s =
       | c when Char.code c < 0x20 ->
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+    s
 
-let to_string v =
-  let buf = Buffer.create 4096 in
-  let pad n = Buffer.add_string buf (String.make n ' ') in
+(* The one walker behind both renderings.  [pretty] puts each array
+   element and object member on its own line, indented two spaces per
+   level, and a space after each ':'; the compact form has no
+   whitespace at all.  Values, key order and escapes are the same, so a
+   compact line parses back to a value that pretty-prints to the same
+   bytes. *)
+let emit ~pretty buf v =
+  let newline indent =
+    if pretty then begin
+      Buffer.add_char buf '\n';
+      for _ = 1 to indent do
+        Buffer.add_char buf ' '
+      done
+    end
+  in
   let rec go indent = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (string_of_bool b)
@@ -57,41 +70,53 @@ let to_string v =
         else Buffer.add_string buf "null"
     | Str s ->
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
+        add_escaped buf s;
         Buffer.add_char buf '"'
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
-        Buffer.add_string buf "[\n";
+        Buffer.add_char buf '[';
         List.iteri
           (fun i item ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            pad (indent + 2);
+            if i > 0 then Buffer.add_char buf ',';
+            newline (indent + 2);
             go (indent + 2) item)
           items;
-        Buffer.add_char buf '\n';
-        pad indent;
+        newline indent;
         Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
     | Obj fields ->
         let fields =
           List.sort (fun (a, _) (b, _) -> String.compare a b) fields
         in
-        Buffer.add_string buf "{\n";
+        Buffer.add_char buf '{';
         List.iteri
           (fun i (key, value) ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            pad (indent + 2);
+            if i > 0 then Buffer.add_char buf ',';
+            newline (indent + 2);
             Buffer.add_char buf '"';
-            Buffer.add_string buf (escape key);
-            Buffer.add_string buf "\": ";
+            add_escaped buf key;
+            Buffer.add_string buf (if pretty then "\": " else "\":");
             go (indent + 2) value)
           fields;
-        Buffer.add_char buf '\n';
-        pad indent;
+        newline indent;
         Buffer.add_char buf '}'
   in
-  go 0 v;
+  go 0 v
+
+(* The pretty form every gated document is written in, with a trailing
+   newline. *)
+let to_string v =
+  let buf = Buffer.create 4096 in
+  emit ~pretty:true buf v;
   Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+(* The compact single-line form (no trailing newline) the serve
+   transports frame.  The small initial buffer keeps a typical reply
+   out of the major heap. *)
+let to_line v =
+  let buf = Buffer.create 256 in
+  emit ~pretty:false buf v;
   Buffer.contents buf
 
 (* ------------------------------------------------------------ parse *)
@@ -372,6 +397,95 @@ let diff ?(tolerance = 0.0) ?(ignored = default_ignored) baseline current =
   in
   walk "" baseline current;
   List.rev !drifts
+
+(* ----------------------------------------------------------- decode *)
+
+(* The one strict decoder every reader of these documents uses.  A
+   converter ['a conv] turns the value found at a [path] into an ['a],
+   or raises [Error] with a message that names that path (and the
+   caller's document label, when [run] was given one).  Objects are
+   read through a cursor that hands out each key once, in a single
+   pass; [close] then rejects whatever the reader did not ask for. *)
+module Decode = struct
+  exception Error of string
+
+  type path = Root of string | Key of path * string | Index of path * int
+  type 'a conv = path -> t -> 'a
+
+  (* Built only on failure, so a successful decode never formats one. *)
+  let rec render = function
+    | Root _ -> ""
+    | Key (Root _, k) -> k
+    | Key (p, k) -> render p ^ "." ^ k
+    | Index (p, i) -> Printf.sprintf "%s[%d]" (render p) i
+
+  let rec label = function Root l -> l | Key (p, _) | Index (p, _) -> label p
+
+  let fail path fmt =
+    Printf.ksprintf
+      (fun msg ->
+        let where = List.filter (( <> ) "") [ label path; render path ] in
+        raise (Error (String.concat ": " (where @ [ msg ]))))
+      fmt
+
+  let run ?(label = "") conv v =
+    match conv (Root label) v with x -> Ok x | exception Error msg -> Error msg
+
+  let mismatch path want v = fail path "expected %s, got %s" want (type_name v)
+  let int path = function Int i -> i | v -> mismatch path "an int" v
+  let str path = function Str s -> s | v -> mismatch path "a string" v
+  let bool path = function Bool b -> b | v -> mismatch path "a bool" v
+
+  let number path = function
+    | Int i -> float_of_int i
+    | Float f -> f
+    | v -> mismatch path "a number" v
+
+  let any _ v = v
+  let nullable conv path = function Null -> None | v -> Some (conv path v)
+
+  let list conv path = function
+    | List items -> List.mapi (fun i x -> conv (Index (path, i)) x) items
+    | v -> mismatch path "an array" v
+
+  type obj = { at : path; mutable rest : (string * t) list }
+
+  let obj read path = function
+    | Obj members -> read { at = path; rest = members }
+    | v -> mismatch path "an object" v
+
+  let rec has_key key = function
+    | [] -> false
+    | (k, _) :: rest -> String.equal k key || has_key key rest
+
+  (* One walk: the key's first member is removed from the cursor, and a
+     second member under the same key is an error, not a tie-break. *)
+  let rec take o key acc = function
+    | [] -> None
+    | (k, v) :: rest when String.equal k key ->
+        if has_key key rest then fail (Key (o.at, key)) "duplicate key";
+        o.rest <- List.rev_append acc rest;
+        Some v
+    | kv :: rest -> take o key (kv :: acc) rest
+
+  let opt o key conv =
+    match take o key [] o.rest with
+    | None -> None
+    | Some v -> Some (conv (Key (o.at, key)) v)
+
+  let req o key conv =
+    match take o key [] o.rest with
+    | None -> fail (Key (o.at, key)) "missing"
+    | Some v -> conv (Key (o.at, key)) v
+
+  let close o =
+    match o.rest with
+    | [] -> ()
+    | rest ->
+        fail o.at "unknown key%s %s"
+          (if List.length rest > 1 then "s" else "")
+          (String.concat ", " (List.map (fun (k, _) -> Printf.sprintf "%S" k) rest))
+end
 
 (* ------------------------------------- experiment result conversion *)
 

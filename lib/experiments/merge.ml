@@ -53,38 +53,9 @@ let json_field { index; count } =
 
 (* ------------------------------------------------------------- merge *)
 
-exception Merge_error of string
+module D = Json.Decode
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Merge_error s)) fmt
-
-let obj_fields label = function
-  | Json.Obj fields -> fields
-  | v -> fail "%s: expected an object, got %s" label (Json.type_name v)
-
-let get label name fields =
-  match List.assoc_opt name fields with
-  | Some v -> v
-  | None -> fail "%s: missing %S" label name
-
-let int_field label name fields =
-  match get label name fields with
-  | Json.Int i -> i
-  | v -> fail "%s: %S must be an int, got %s" label name (Json.type_name v)
-
-let str_field label name fields =
-  match get label name fields with
-  | Json.Str s -> s
-  | v -> fail "%s: %S must be a string, got %s" label name (Json.type_name v)
-
-let bool_field label name fields =
-  match get label name fields with
-  | Json.Bool b -> b
-  | v -> fail "%s: %S must be a bool, got %s" label name (Json.type_name v)
-
-let list_field label name fields =
-  match get label name fields with
-  | Json.List items -> items
-  | v -> fail "%s: %S must be an array, got %s" label name (Json.type_name v)
+let fail fmt = Printf.ksprintf (fun s -> raise (D.Error s)) fmt
 
 type envelope = {
   label : string;
@@ -93,7 +64,7 @@ type envelope = {
   seed : int;
   quick : bool;
   shard : spec;
-  fields : (string * Json.t) list;
+  entries : (D.path * Json.t) list;  (* the payload list, each at its path *)
 }
 
 (* The schema versions this tool knows how to reassemble; a shard
@@ -102,41 +73,47 @@ type envelope = {
 let mergeable_versions =
   [ ("oqsc-experiments", 2); ("oqsc-space-audit", 1) ]
 
-let envelope (label, doc) =
-  let fields = obj_fields label doc in
-  let kind = str_field label "kind" fields in
-  let version = int_field label "version" fields in
+let shard_field path json =
+  let index, count =
+    D.obj
+      (fun o ->
+        let index = D.req o "index" D.int in
+        let count = D.req o "of" D.int in
+        D.close o;
+        (index, count))
+      path json
+  in
+  if count < 1 || index < 0 || index >= count then
+    D.fail path "invalid shard provenance %d/%d" index count;
+  { index; count }
+
+let envelope label o =
+  let kind = D.req o "kind" D.str in
+  let version = D.req o "version" D.int in
   (match List.assoc_opt kind mergeable_versions with
   | None ->
-      fail "%s: unsupported document kind %S (mergeable kinds: %s)" label kind
+      D.fail o.D.at "unsupported document kind %S (mergeable kinds: %s)" kind
         (String.concat ", " (List.map fst mergeable_versions))
   | Some expected ->
       if version <> expected then
-        fail "%s: version skew: %s document is version %d, this tool merges version %d"
-          label kind version expected);
+        D.fail o.D.at
+          "version skew: %s document is version %d, this tool merges version %d"
+          kind version expected);
   let shard =
-    match List.assoc_opt "shard" fields with
+    match D.opt o "shard" shard_field with
+    | Some shard -> shard
     | None ->
-        fail "%s: not a shard document (missing the \"shard\" envelope field)"
-          label
-    | Some (Json.Obj s) ->
-        let index = int_field (label ^ ": shard") "index" s in
-        let count = int_field (label ^ ": shard") "of" s in
-        if count < 1 || index < 0 || index >= count then
-          fail "%s: invalid shard provenance %d/%d" label index count;
-        { index; count }
-    | Some v ->
-        fail "%s: \"shard\" must be an object, got %s" label (Json.type_name v)
+        D.fail o.D.at "not a shard document (missing the \"shard\" envelope field)"
   in
-  {
-    label;
-    kind;
-    version;
-    seed = int_field label "seed" fields;
-    quick = bool_field label "quick" fields;
-    shard;
-    fields;
-  }
+  let seed = D.req o "seed" D.int in
+  let quick = D.req o "quick" D.bool in
+  let payload = if kind = "oqsc-space-audit" then "rows" else "experiments" in
+  let entries = D.req o payload (D.list (fun path x -> (path, x))) in
+  (* An audit shard written with --timing carries its rows' wall-clock
+     sum; the merge recomputes it. *)
+  ignore (D.opt o "wall_ms" D.number);
+  D.close o;
+  { label; kind; version; seed; quick; shard; entries }
 
 let validate_envelopes first rest =
   List.iter
@@ -176,10 +153,10 @@ let validate_envelopes first rest =
 
 (* -------------------------------------------- per-kind payload merge *)
 
-let catalogue_position label id =
+let catalogue_position path id =
   let rec go i = function
     | [] ->
-        fail "%s: unknown experiment id %S; valid ids: %s" label id
+        D.fail path "unknown experiment id %S; valid ids: %s" id
           (String.concat ", " Registry.ids)
     | id' :: rest -> if String.equal id id' then i else go (i + 1) rest
   in
@@ -208,53 +185,42 @@ let merge_experiments envelopes =
     List.concat_map
       (fun e ->
         List.map
-          (fun x ->
-            let id =
-              str_field (e.label ^ ": experiment") "id"
-                (obj_fields (e.label ^ ": experiment") x)
-            in
-            (catalogue_position e.label id, id, e.label, x))
-          (list_field e.label "experiments" e.fields))
+          (fun (path, x) ->
+            let id = D.obj (fun o -> D.req o "id" D.str) path x in
+            (catalogue_position path id, id, e.label, x))
+          e.entries)
       envelopes
   in
   Json.List (sort_disjoint ~what:"experiment" entries)
 
-let audit_row label x =
-  let fields = obj_fields label x in
-  let int name = int_field label name fields in
-  let opt_int name =
-    match get label name fields with
-    | Json.Int i -> Some i
-    | Json.Null -> None
-    | v -> fail "%s: %S must be an int or null, got %s" label name (Json.type_name v)
-  in
-  let wall =
-    match List.assoc_opt "wall_ms" fields with
-    | None -> None
-    | Some (Json.Float f) -> Some f
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | Some v -> fail "%s: \"wall_ms\" must be a number, got %s" label (Json.type_name v)
-  in
-  ( {
-      Space_audit.k = int "k";
-      n = int "n";
-      classical_storage_bits = int "classical_storage_bits";
-      classical_total_bits = int "classical_total_bits";
-      quantum_total_bits = opt_int "quantum_total_bits";
-      quantum_qubits = opt_int "quantum_qubits";
-      wall_ms = Option.value wall ~default:0.0;
-    },
-    wall <> None )
+let audit_row =
+  D.obj (fun o ->
+      let int name = D.req o name D.int in
+      let opt_int name = D.req o name (D.nullable D.int) in
+      let wall = D.opt o "wall_ms" D.number in
+      let row =
+        {
+          Space_audit.k = int "k";
+          n = int "n";
+          classical_storage_bits = int "classical_storage_bits";
+          classical_total_bits = int "classical_total_bits";
+          quantum_total_bits = opt_int "quantum_total_bits";
+          quantum_qubits = opt_int "quantum_qubits";
+          wall_ms = Option.value wall ~default:0.0;
+        }
+      in
+      D.close o;
+      (row, wall <> None))
 
 let merge_audit envelopes first =
   let entries =
     List.concat_map
       (fun e ->
         List.map
-          (fun x ->
-            let row, timed = audit_row (e.label ^ ": row") x in
+          (fun (path, x) ->
+            let row, timed = audit_row path x in
             (row.Space_audit.k, row, e.label, timed))
-          (list_field e.label "rows" e.fields))
+          e.entries)
       envelopes
   in
   (match entries with [] -> fail "no audit rows to merge" | _ -> ());
@@ -276,7 +242,11 @@ let merge docs =
   | [] -> Error "no input documents"
   | _ -> (
       try
-        let envelopes = List.map envelope docs in
+        let envelopes =
+          List.map
+            (fun (label, doc) -> D.obj (envelope label) (D.Root label) doc)
+            docs
+        in
         let first = List.hd envelopes in
         validate_envelopes first (List.tl envelopes);
         match first.kind with
@@ -292,4 +262,4 @@ let merge docs =
                    ("quick", Json.Bool first.quick);
                    ("experiments", merge_experiments envelopes);
                  ])
-      with Merge_error msg -> Error msg)
+      with D.Error msg -> Error msg)

@@ -10,17 +10,14 @@ val prepare_uniform : ?extra_qubits:int -> Oracle.t -> Quantum.State.t
     [2^{-n/2} sum_i |i>|0...0>] with [extra_qubits] additional zeroed
     qubits above the address register (default 0). *)
 
-val phase_oracle : Oracle.t -> Quantum.State.t -> unit
-(** Multiplies the amplitude of every basis state whose address part is
-    marked by -1. *)
-
 val diffusion : Oracle.t -> Quantum.State.t -> unit
 (** The operator [U_k S_k U_k] of §3.2: Hadamards on the address register,
     phase flip on every non-zero address, Hadamards again.  Equals the
     standard "inversion about the mean" up to a global sign. *)
 
 val iteration : Oracle.t -> Quantum.State.t -> unit
-(** One Grover iteration: [phase_oracle] then [diffusion]. *)
+(** One Grover iteration: multiply the amplitude of every basis state
+    whose address part is marked by -1, then {!diffusion}. *)
 
 val run : ?extra_qubits:int -> Oracle.t -> int -> Quantum.State.t
 (** [run o j] prepares the uniform state and applies [j] iterations. *)

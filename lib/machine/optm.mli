@@ -61,10 +61,6 @@ val run_deterministic_with_output :
 val run_sampled_with_output :
   ?max_steps:int -> t -> Mathx.Rng.t -> string -> (bool option * stats) * string
 
-val run_sampled :
-  ?max_steps:int -> t -> Mathx.Rng.t -> string -> bool option * stats
-(** Samples one computation path. *)
-
 val acceptance_probability :
   ?max_steps:int -> ?trials:int -> t -> Mathx.Rng.t -> string -> float
 (** Monte-Carlo estimate of p_M(w) over [trials] (default 1000) sampled

@@ -106,5 +106,3 @@ let snapshot t =
         Buffer.add_string buf (Printf.sprintf "%s:%d=%d;" r.name r.bits r.value))
     (List.rev t.regs);
   Buffer.contents buf
-
-let snapshot_bits t = t.classical

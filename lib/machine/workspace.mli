@@ -70,7 +70,3 @@ val snapshot : t -> string
     the machine configuration modulo tape-head positions.  Two runs whose
     future behaviour can differ must produce different snapshots as long
     as the algorithm keeps all its state in the workspace. *)
-
-val snapshot_bits : t -> int
-(** Width of the information content of {!snapshot}: the sum of live
-    register widths (what the Theorem 3.6 protocol charges per message). *)

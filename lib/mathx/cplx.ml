@@ -11,7 +11,6 @@ let sub a b = { re = a.re -. b.re; im = a.im -. b.im }
 let mul a b =
   { re = (a.re *. b.re) -. (a.im *. b.im); im = (a.re *. b.im) +. (a.im *. b.re) }
 
-let neg a = { re = -.a.re; im = -.a.im }
 let conj a = { re = a.re; im = -.a.im }
 let scale s a = { re = s *. a.re; im = s *. a.im }
 let norm2 a = (a.re *. a.re) +. (a.im *. a.im)

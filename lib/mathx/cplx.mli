@@ -17,7 +17,6 @@ val re : float -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val neg : t -> t
 val conj : t -> t
 val scale : float -> t -> t
 

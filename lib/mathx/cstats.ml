@@ -11,8 +11,6 @@ let variance a =
     acc /. float_of_int (n - 1)
   end
 
-let stddev a = sqrt (variance a)
-
 let min_max a =
   if Array.length a = 0 then invalid_arg "Cstats.min_max: empty array";
   Array.fold_left

@@ -6,8 +6,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance (0 for arrays of length < 2). *)
 
-val stddev : float array -> float
-
 val min_max : float array -> float * float
 
 val wilson_interval : successes:int -> trials:int -> z:float -> float * float

@@ -12,10 +12,6 @@
     - the {b exact depolarizing channel} on density matrices, used by
       tests to validate the unravelling. *)
 
-val pauli_x : Gates.single
-val pauli_y : Gates.single
-val pauli_z : Gates.single
-
 val depolarize_qubit : Mathx.Rng.t -> p:float -> State.t -> int -> unit
 (** One trajectory step on one qubit: with probability [p], applies X, Y
     or Z chosen uniformly. *)

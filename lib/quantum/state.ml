@@ -143,16 +143,6 @@ let norm s =
   in
   sqrt acc
 
-let normalize s =
-  let nrm = norm s in
-  if nrm = 0.0 then invalid_arg "State.normalize: zero vector";
-  let inv = 1.0 /. nrm in
-  let a = s.a in
-  kernel s (dim s) (fun lo hi ->
-      for i = 2 * lo to (2 * hi) - 1 do
-        A.unsafe_set a i (A.unsafe_get a i *. inv)
-      done)
-
 let fidelity x y =
   if x.n <> y.n then invalid_arg "State.fidelity: qubit count mismatch";
   let xa = x.a and ya = y.a in

@@ -64,8 +64,6 @@ val of_amplitudes : Mathx.Cplx.t array -> t
 val norm : t -> float
 (** Euclidean norm (1.0 up to rounding for any state produced by gates). *)
 
-val normalize : t -> unit
-
 val probability : t -> int -> float
 (** [probability s idx] is [|amplitude s idx|^2]. *)
 

@@ -75,15 +75,16 @@ type tally = {
    must be the oqsc-metrics v1 document, or the replay fails — the same
    strictness the stats/mix replies get from the protocol decoder. *)
 let check_metrics_doc payload =
-  match payload with
-  | Json.Obj fields
-    when List.assoc_opt "kind" fields = Some (Json.Str "oqsc-metrics")
-         && List.assoc_opt "version" fields = Some (Json.Int 1)
-         && (match List.assoc_opt "metrics" fields with
-            | Some (Json.List _) -> true
-            | _ -> false) ->
-      Ok ()
-  | _ -> Error "metrics reply payload is not an oqsc-metrics v1 document"
+  let open Json.Decode in
+  let document o =
+    let kind = req o "kind" str in
+    let version = req o "version" int in
+    ignore (req o "metrics" (list any));
+    close o;
+    if kind <> "oqsc-metrics" || version <> 1 then
+      fail o.at "not an oqsc-metrics v1 document"
+  in
+  run ~label:"metrics reply payload" (obj document) payload
 
 let absorb ?payload_dir tally line =
   match Json.parse line with
@@ -445,12 +446,8 @@ let replay_socket ?payload_dir ?(repeat = 1) ?(shutdown = false) ?(clients = 1)
 (* ------------------------------------------------------------ print *)
 
 let stat_float stats key =
-  match stats with
-  | Json.Obj fields -> (
-      match List.assoc_opt key fields with
-      | Some (Json.Float f) -> f
-      | Some (Json.Int i) -> float_of_int i
-      | _ -> 0.0)
+  match Json.Decode.(run (obj (fun o -> opt o key number)) stats) with
+  | Ok (Some f) -> f
   | _ -> 0.0
 
 let print fmt r =

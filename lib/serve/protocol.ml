@@ -128,23 +128,17 @@ let reply_to_json = function
 
 (* --------------------------------------------------------- decoding *)
 
-(* Strict field access over one envelope: every defined key is taken
-   exactly once, and whatever remains afterwards is an undocumented key
-   the decoder rejects.  This strictness is the protocol's forward
-   evolution rule — new keys require a version bump, not silence. *)
-type fields = { mutable remaining : (string * Json.t) list }
+(* Decoding is strict: every defined key is taken exactly once and
+   [close] rejects whatever remains, which is the protocol's forward
+   evolution rule — new keys require a version bump, not silence.  A
+   decode failure is a [bad_request] naming the JSON path at fault; the
+   other request codes are raised as [Reject], after the envelope keys
+   and before the unknown-key check. *)
+module D = Json.Decode
 
-let take fs key =
-  let rec go acc = function
-    | [] -> None
-    | (k, v) :: rest when String.equal k key ->
-        fs.remaining <- List.rev_append acc rest;
-        Some v
-    | kv :: rest -> go (kv :: acc) rest
-  in
-  go [] fs.remaining
+exception Reject of error_code * string
 
-let bad fmt = Printf.ksprintf (fun m -> Error (Bad_request, m)) fmt
+let reject code fmt = Printf.ksprintf (fun m -> raise (Reject (code, m))) fmt
 
 type decode_error = {
   v : int;
@@ -153,225 +147,124 @@ type decode_error = {
   message : string;
 }
 
-let decode json =
-  match json with
-  | Json.Obj members -> (
-      let fs = { remaining = members } in
-      match take fs "v" with
-      | None -> bad "missing field \"v\" (protocol version)"
-      | Some (Json.Int v) when not (List.mem v versions) ->
-          Error
-            ( Unsupported_version,
-              Printf.sprintf
-                "protocol version %d is not supported; supported: %s" v
-                (String.concat ", " (List.map string_of_int versions)) )
-      | Some (Json.Int v) -> (
-          match take fs "id" with
-          | None -> bad "missing field \"id\""
-          | Some (Json.Str id) when id_ok id -> (
-              match take fs "op" with
-              | None -> bad "missing field \"op\""
-              | Some (Json.Str op) -> (
-                  let opt_bool key default =
-                    match take fs key with
-                    | None -> Ok default
-                    | Some (Json.Bool b) -> Ok b
-                    | Some _ -> bad "field %S must be a boolean" key
-                  in
-                  let opt_int key default =
-                    match take fs key with
-                    | None -> Ok default
-                    | Some (Json.Int i) -> Ok i
-                    | Some _ -> bad "field %S must be an integer" key
-                  in
-                  let req_int key =
-                    match take fs key with
-                    | None -> bad "op %S requires field %S" op key
-                    | Some (Json.Int i) -> Ok i
-                    | Some _ -> bad "field %S must be an integer" key
-                  in
-                  let finish op =
-                    match fs.remaining with
-                    | [] -> Ok { v; id; op }
-                    | (k, _) :: _ -> bad "unknown field %S" k
-                  in
-                  let ( let* ) = Result.bind in
-                  match op with
-                  | "run" -> (
-                      match take fs "exp" with
-                      | None -> bad "op \"run\" requires field \"exp\""
-                      | Some (Json.Str exp) ->
-                          let* quick = opt_bool "quick" false in
-                          let* seed = opt_int "seed" 2006 in
-                          if List.mem exp Experiments.Registry.ids then
-                            finish (Run { exp; quick; seed })
-                          else
-                            Error
-                              ( Unknown_experiment,
-                                Printf.sprintf
-                                  "unknown experiment %S; valid ids: %s" exp
-                                  (String.concat ", " Experiments.Registry.ids) )
-                      | Some _ -> bad "field \"exp\" must be a string")
-                  | "sweep" ->
-                      let* index = req_int "index" in
-                      let* count = req_int "of" in
-                      let* quick = opt_bool "quick" false in
-                      let* seed = opt_int "seed" 2006 in
-                      if count >= 1 && index >= 0 && index < count then
-                        finish (Sweep { index; count; quick; seed })
-                      else
-                        Error
-                          ( Bad_shard,
-                            Printf.sprintf
-                              "sweep shard %d/%d violates 0 <= index < of" index
-                              count )
-                  | "ping" -> finish Ping
-                  | "stats" -> finish Stats
-                  | "metrics" when v >= metrics_version -> finish Metrics
-                  | "metrics" ->
-                      Error
-                        ( Unknown_op,
-                          Printf.sprintf
-                            "op \"metrics\" requires protocol version %d \
-                             (request carried \"v\": %d)"
-                            metrics_version v )
-                  | "shutdown" -> finish Shutdown
-                  | other ->
-                      Error
-                        ( Unknown_op,
-                          Printf.sprintf "unknown op %S; valid: %s" other
-                            (String.concat ", " (ops_of_version v)) ))
-              | Some _ -> bad "field \"op\" must be a string")
-          | Some (Json.Str id) ->
-              bad "invalid id %S (want [A-Za-z0-9._-]{1,64})" id
-          | Some _ -> bad "field \"id\" must be a string")
-      | Some _ -> bad "field \"v\" must be an integer")
-  | _ -> Error (Bad_request, "request envelope must be a JSON object")
+let id_field path json =
+  let id = D.str path json in
+  if id_ok id then id
+  else D.fail path "invalid id %S (want [A-Za-z0-9._-]{1,64})" id
 
-(* Best-effort id recovery so error replies stay correlatable: any
-   well-formed "id" member of the rejected envelope is echoed back. *)
-let recover_id = function
-  | Json.Obj members -> (
-      match List.assoc_opt "id" members with
-      | Some (Json.Str id) when id_ok id -> Some id
-      | _ -> None)
-  | _ -> None
+let quick o = Option.value (D.opt o "quick" D.bool) ~default:false
+let seed o = Option.value (D.opt o "seed" D.int) ~default:2006
+
+let read_request o =
+  let v = D.req o "v" D.int in
+  if not (List.mem v versions) then
+    reject Unsupported_version "protocol version %d is not supported; supported: %s"
+      v
+      (String.concat ", " (List.map string_of_int versions));
+  let id = D.req o "id" id_field in
+  let op =
+    match D.req o "op" D.str with
+    | "run" ->
+        let exp = D.req o "exp" D.str in
+        let quick = quick o in
+        let seed = seed o in
+        if not (List.mem exp Experiments.Registry.ids) then
+          reject Unknown_experiment "unknown experiment %S; valid ids: %s" exp
+            (String.concat ", " Experiments.Registry.ids);
+        Run { exp; quick; seed }
+    | "sweep" ->
+        let index = D.req o "index" D.int in
+        let count = D.req o "of" D.int in
+        let quick = quick o in
+        let seed = seed o in
+        if count < 1 || index < 0 || index >= count then
+          reject Bad_shard "sweep shard %d/%d violates 0 <= index < of" index
+            count;
+        Sweep { index; count; quick; seed }
+    | "ping" -> Ping
+    | "stats" -> Stats
+    | "metrics" when v >= metrics_version -> Metrics
+    | "metrics" ->
+        reject Unknown_op
+          "op \"metrics\" requires protocol version %d (request carried \"v\": %d)"
+          metrics_version v
+    | "shutdown" -> Shutdown
+    | other ->
+        reject Unknown_op "unknown op %S; valid: %s" other
+          (String.concat ", " (ops_of_version v))
+  in
+  D.close o;
+  { v; id; op }
+
+let request = D.obj read_request
+
+(* Best-effort recovery of one envelope key, so an error reply stays
+   correlatable and answers in the request's own version. *)
+let recover key conv json =
+  Result.to_option (D.run (D.obj (fun o -> D.req o key conv)) json)
+
+let recover_id json = recover "id" id_field json
 
 (* Error replies echo the rejected request's version when it is a
    well-formed supported one (so a v2 client's rejections come back as
    v2 envelopes), falling back to 1 — in particular a request rejected
    {e because} its version is unsupported is answered in version 1. *)
-let recover_v = function
-  | Json.Obj members -> (
-      match List.assoc_opt "v" members with
-      | Some (Json.Int v) when List.mem v versions -> v
-      | _ -> version)
+let recover_v json =
+  match recover "v" D.int json with
+  | Some v when List.mem v versions -> v
   | _ -> version
 
 let request_of_json json =
-  match decode json with
+  let rejected code message =
+    Error { v = recover_v json; id = recover_id json; code; message }
+  in
+  match D.run request json with
   | Ok r -> Ok r
-  | Error (code, message) ->
-      Error { v = recover_v json; id = recover_id json; code; message }
+  | Error msg -> rejected Bad_request msg
+  | exception Reject (code, msg) -> rejected code msg
 
-let reply_of_json json =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match json with
-  | Json.Obj members -> (
-      let fs = { remaining = members } in
-      let finish reply =
-        match fs.remaining with
-        | [] -> Ok reply
-        | (k, _) :: _ -> fail "undocumented reply key %S" k
+let error_code path json =
+  let name = D.str path json in
+  match code_of_string name with
+  | Some code -> code
+  | None -> D.fail path "undocumented error code %S" name
+
+let reply_version path json =
+  let v = D.int path json in
+  if List.mem v versions then v
+  else
+    D.fail path "reply version %d is not one of %s" v
+      (String.concat ", " (List.map string_of_int versions))
+
+let read_reply o =
+  let v = D.req o "v" reply_version in
+  let reply =
+    if D.req o "ok" D.bool then
+      let id = D.req o "id" D.str in
+      let op = D.req o "op" D.str in
+      let payload = D.req o "payload" D.any in
+      let wall_ms = D.req o "wall_ms" D.number in
+      Ok_reply { v; id; op; payload; wall_ms }
+    else
+      let id = D.req o "id" (D.nullable D.str) in
+      let code, message =
+        D.req o "error"
+          (D.obj (fun e ->
+               let code = D.req e "code" error_code in
+               let message = D.req e "message" D.str in
+               D.close e;
+               (code, message)))
       in
-      let ok_reply v id_field =
-        match (id_field, take fs "op", take fs "payload", take fs "wall_ms") with
-        | Json.Str id, Some (Json.Str op), Some payload, Some (Json.Float wall_ms)
-          ->
-            finish (Ok_reply { v; id; op; payload; wall_ms })
-        | Json.Str id, Some (Json.Str op), Some payload, Some (Json.Int w) ->
-            finish (Ok_reply { v; id; op; payload; wall_ms = float_of_int w })
-        | Json.Str _, _, _, _ ->
-            fail "ok reply must carry string op, payload, numeric wall_ms"
-        | _ -> fail "ok reply id must be a string"
-      in
-      let error_reply v id_field =
-        let id =
-          match id_field with
-          | Json.Str id -> Ok (Some id)
-          | Json.Null -> Ok None
-          | _ -> fail "error reply id must be a string or null"
-        in
-        match (id, take fs "error") with
-        | Error msg, _ -> Error msg
-        | Ok id, Some (Json.Obj err) -> (
-            let efs = { remaining = err } in
-            let code_field = take efs "code" in
-            let message_field = take efs "message" in
-            match (code_field, message_field, efs.remaining) with
-            | Some (Json.Str code), Some (Json.Str message), [] -> (
-                match code_of_string code with
-                | Some code -> finish (Error_reply { v; id; code; message })
-                | None -> fail "undocumented error code %S" code)
-            | _, _, (k, _) :: _ -> fail "undocumented error key %S" k
-            | _ -> fail "error object must carry code and message strings")
-        | Ok _, _ -> fail "error reply must carry an \"error\" object"
-      in
-      match (take fs "v", take fs "id", take fs "ok") with
-      | Some (Json.Int v), _, _ when not (List.mem v versions) ->
-          fail "reply version %d is not one of %s" v
-            (String.concat ", " (List.map string_of_int versions))
-      | Some (Json.Int v), Some id_field, Some (Json.Bool true) ->
-          ok_reply v id_field
-      | Some (Json.Int v), Some id_field, Some (Json.Bool false) ->
-          error_reply v id_field
-      | _ -> fail "reply envelope must carry integer v, id, boolean ok")
-  | _ -> Error "reply envelope must be a JSON object"
+      Error_reply { v; id; code; message }
+  in
+  D.close o;
+  reply
+
+let reply_of_json = D.run (D.obj read_reply)
 
 (* ---------------------------------------------------------- framing *)
 
-(* Compact rendering: identical value formatting to the pretty emitter
-   (sorted keys, %.1f / %.12g floats, same escapes) with all structural
-   whitespace removed, so an NDJSON line parses back to the same
-   [Json.t] and pretty-prints to the same bytes. *)
-let to_line v =
-  let buf = Buffer.create 256 in
-  let rec go = function
-    | Json.Null -> Buffer.add_string buf "null"
-    | Json.Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Json.Int i -> Buffer.add_string buf (string_of_int i)
-    | Json.Float f ->
-        if Float.is_finite f then Buffer.add_string buf (Json.float_repr f)
-        else Buffer.add_string buf "null"
-    | Json.Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (Json.escape s);
-        Buffer.add_char buf '"'
-    | Json.List items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            go item)
-          items;
-        Buffer.add_char buf ']'
-    | Json.Obj fields ->
-        let fields =
-          List.sort (fun (a, _) (b, _) -> String.compare a b) fields
-        in
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (key, value) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (Json.escape key);
-            Buffer.add_string buf "\":";
-            go value)
-          fields;
-        Buffer.add_char buf '}'
-  in
-  go v;
-  Buffer.contents buf
+let to_line = Json.to_line
 
 let parse_line line =
   match Json.parse line with

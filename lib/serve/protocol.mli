@@ -130,17 +130,20 @@ val reply_of_json : Experiments.Json.t -> (reply, string) result
 (** {1 Framing} *)
 
 val to_line : Experiments.Json.t -> string
-(** Compact single-line rendering (no newline): the NDJSON transport's
-    line body.  Same sorted keys and float formatting as
-    [Experiments.Json.to_string], so [payload] objects re-serialize to
-    the pretty form byte-identically after a round trip. *)
+(** [Experiments.Json.to_line]: the canonical emitter's compact
+    single-line form (no newline), the NDJSON transport's line body.
+    [payload] objects re-serialize to the pretty form byte-identically
+    after a round trip. *)
 
 val parse_line : string -> (request, decode_error) result
 (** Strict decode of one NDJSON request line.  The error carries the
     code the server must reply with — [Parse_error] for a JSON syntax
     error (with no recoverable id), otherwise [Bad_request],
     [Unsupported_version], [Unknown_op], [Unknown_experiment], or
-    [Bad_shard] — and a human-readable message. *)
+    [Bad_shard] — and a human-readable message.  A [Bad_request]
+    message names the JSON path at fault (["exp: expected a string, got
+    number"], ["unknown key \"extra\""]); a key given twice is a
+    [Bad_request] naming it. *)
 
 val write_frame : out_channel -> string -> unit
 (** Write one length-prefixed frame: a 4-byte big-endian body length

@@ -74,100 +74,59 @@ type counts = {
 
 let known_events = [ "admitted"; "rejected"; "flushed"; "replied"; "dropped" ]
 
-let base_keys =
-  [ "conn"; "event"; "id"; "latency_ms"; "op"; "queue_depth"; "seq"; "ts_ms" ]
+module D = Json.Decode
 
+(* Every finding is reported, not only a line's first: each key is
+   decoded on its own, and [close] names whatever the schema lacks. *)
 let lint lines =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
+  let found f = try Some (f ()) with D.Error m -> errors := m :: !errors; None in
   let counts =
     ref { lines = 0; admitted = 0; rejected = 0; flushed = 0; replied = 0; dropped = 0 }
   in
   let last_ts = ref neg_infinity in
+  let int_number path json = float_of_int (D.int path json) in
+  let event i label o =
+    let key k conv = found (fun () -> D.req o k conv) in
+    counts := { !counts with lines = !counts.lines + 1 };
+    let kind = key "event" D.str in
+    (match kind with
+    | Some k when not (List.mem k known_events) -> err "%s: unknown event %S" label k
+    | _ -> ());
+    (* Only a rejection carries its error code. *)
+    if kind = Some "rejected" then ignore (key "code" D.str);
+    (match key "seq" D.int with
+    | Some s when s <> i -> err "%s: seq is %d, want %d (no gaps, file order)" label s i
+    | _ -> ());
+    (match key "ts_ms" D.number with
+    | Some ts ->
+        if ts < !last_ts then
+          err "%s: ts_ms %g decreases (previous %g)" label ts !last_ts;
+        last_ts := ts
+    | None -> ());
+    List.iter
+      (fun (k, conv) ->
+        match key k conv with
+        | Some v when v < 0.0 -> err "%s: %s %g is negative" label k v
+        | _ -> ())
+      [ ("conn", int_number); ("queue_depth", int_number); ("latency_ms", D.number) ];
+    ignore (key "id" (D.nullable D.str));
+    ignore (key "op" (D.nullable D.str));
+    ignore (found (fun () -> D.close o));
+    match kind with
+    | Some "admitted" -> counts := { !counts with admitted = !counts.admitted + 1 }
+    | Some "rejected" -> counts := { !counts with rejected = !counts.rejected + 1 }
+    | Some "flushed" -> counts := { !counts with flushed = !counts.flushed + 1 }
+    | Some "replied" -> counts := { !counts with replied = !counts.replied + 1 }
+    | Some "dropped" -> counts := { !counts with dropped = !counts.dropped + 1 }
+    | _ -> ()
+  in
   List.iteri
     (fun i line ->
-      let lineno = i + 1 in
+      let label = Printf.sprintf "line %d" (i + 1) in
       match Json.parse line with
-      | Error msg -> err "line %d: not valid JSON: %s" lineno msg
-      | Ok (Json.Obj fields) -> (
-          counts := { !counts with lines = !counts.lines + 1 };
-          let get k = List.assoc_opt k fields in
-          let kind =
-            match get "event" with
-            | Some (Json.Str s) -> Some s
-            | Some _ ->
-                err "line %d: \"event\" is not a string" lineno;
-                None
-            | None ->
-                err "line %d: missing \"event\"" lineno;
-                None
-          in
-          (match kind with
-          | Some k when not (List.mem k known_events) ->
-              err "line %d: unknown event %S" lineno k
-          | _ -> ());
-          let want_keys =
-            if kind = Some "rejected" then "code" :: base_keys else base_keys
-          in
-          let keys = List.sort String.compare (List.map fst fields) in
-          let want = List.sort String.compare want_keys in
-          if keys <> want then
-            err "line %d: keys are {%s}, want {%s}" lineno
-              (String.concat ", " keys)
-              (String.concat ", " want);
-          (match get "seq" with
-          | Some (Json.Int s) when s <> i ->
-              err "line %d: seq is %d, want %d (no gaps, file order)" lineno s i
-          | Some (Json.Int _) -> ()
-          | Some _ -> err "line %d: \"seq\" is not an int" lineno
-          | None -> ());
-          (match get "ts_ms" with
-          | Some (Json.Float ts) ->
-              if ts < !last_ts then
-                err "line %d: ts_ms %g decreases (previous %g)" lineno ts
-                  !last_ts;
-              last_ts := ts
-          | Some (Json.Int ts) ->
-              let ts = float_of_int ts in
-              if ts < !last_ts then
-                err "line %d: ts_ms %g decreases (previous %g)" lineno ts
-                  !last_ts;
-              last_ts := ts
-          | Some _ -> err "line %d: \"ts_ms\" is not a number" lineno
-          | None -> ());
-          (match get "conn" with
-          | Some (Json.Int c) when c < 0 ->
-              err "line %d: conn %d is negative" lineno c
-          | Some (Json.Int _) | None -> ()
-          | Some _ -> err "line %d: \"conn\" is not an int" lineno);
-          (match get "queue_depth" with
-          | Some (Json.Int d) when d < 0 ->
-              err "line %d: queue_depth %d is negative" lineno d
-          | Some (Json.Int _) | None -> ()
-          | Some _ -> err "line %d: \"queue_depth\" is not an int" lineno);
-          (match get "latency_ms" with
-          | Some (Json.Float l) when l < 0.0 ->
-              err "line %d: latency_ms %g is negative" lineno l
-          | Some (Json.Float _) | Some (Json.Int _) | None -> ()
-          | Some _ -> err "line %d: \"latency_ms\" is not a number" lineno);
-          (match get "id" with
-          | Some (Json.Str _) | Some Json.Null | None -> ()
-          | Some _ -> err "line %d: \"id\" is not string|null" lineno);
-          (match get "op" with
-          | Some (Json.Str _) | Some Json.Null | None -> ()
-          | Some _ -> err "line %d: \"op\" is not string|null" lineno);
-          match kind with
-          | Some "admitted" ->
-              counts := { !counts with admitted = !counts.admitted + 1 }
-          | Some "rejected" ->
-              counts := { !counts with rejected = !counts.rejected + 1 }
-          | Some "flushed" ->
-              counts := { !counts with flushed = !counts.flushed + 1 }
-          | Some "replied" ->
-              counts := { !counts with replied = !counts.replied + 1 }
-          | Some "dropped" ->
-              counts := { !counts with dropped = !counts.dropped + 1 }
-          | _ -> ())
-      | Ok _ -> err "line %d: not a JSON object" lineno)
+      | Error msg -> err "%s: not valid JSON: %s" label msg
+      | Ok json -> ignore (found (fun () -> D.obj (event i label) (D.Root label) json)))
     lines;
   match List.rev !errors with [] -> Ok !counts | es -> Error es

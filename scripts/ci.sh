@@ -158,6 +158,16 @@ if want shard; then
     "$tmp/shard_0.json" "$tmp/shard_1.json" 2>/dev/null
   ! dune exec bin/oqsc_cli.exe -- merge "$tmp/bad.json" \
     "$tmp/shard_0.json" "$tmp/shard_0.json" "$tmp/shard_1.json" "$tmp/shard_2.json" 2>/dev/null
+  # ... and so must a retyped envelope field, naming it.
+  sed 's/"seed": \([0-9]*\)/"seed": "\1"/' "$tmp/shard_0.json" > "$tmp/shard_0_seed.json"
+  grep -q '"seed": "[0-9]*"' "$tmp/shard_0_seed.json"
+  if dune exec bin/oqsc_cli.exe -- merge "$tmp/bad.json" \
+    "$tmp/shard_0_seed.json" "$tmp/shard_1.json" "$tmp/shard_2.json" \
+    2> "$tmp/merge_seed.err"; then
+    echo "merge accepted a string seed" >&2
+    exit 1
+  fi
+  grep -q 'seed' "$tmp/merge_seed.err"
 fi
 
 if want serve; then
@@ -244,6 +254,14 @@ if want serve; then
   grep -q '"code":"unsupported_version"' "$tmp/err_replies"
   grep -q '"code":"unknown_experiment"' "$tmp/err_replies"
   grep -q '"op":"shutdown"' "$tmp/err_replies"
+
+  # An undocumented request key draws bad_request naming the key.
+  printf '%s\n' \
+    '{"v":1,"id":"k","op":"ping","extra":1}' \
+    '{"v":1,"id":"z","op":"shutdown"}' \
+    | dune exec bin/oqsc_cli.exe -- serve > "$tmp/key_replies"
+  grep '"id":"k"' "$tmp/key_replies" | grep '"code":"bad_request"' \
+    | grep -q 'extra'
 
   # The v2 metrics op: version-gated (a v1 request naming it draws
   # unknown_op), a barrier when accepted, and the reply payload is the

@@ -225,9 +225,195 @@ let prop_roundtrip =
   in
   QCheck.Test.make ~name:"parse . to_string = canonical identity" ~count:200
     (QCheck.make gen) (fun doc ->
-      match Json.parse (Json.to_string doc) with
-      | Error _ -> false
-      | Ok parsed -> Json.to_string parsed = Json.to_string doc)
+      (* The compact line form is the same walk: it parses back to a
+         value that pretty-prints to the same bytes. *)
+      List.for_all
+        (fun emit ->
+          match Json.parse (emit doc) with
+          | Error _ -> false
+          | Ok parsed -> Json.to_string parsed = Json.to_string doc)
+        [ Json.to_string; Json.to_line ])
+
+(* ------------------------------------------------- decoder fuzzing *)
+
+(* Every decoder built on [Json.Decode], fed committed and freshly
+   emitted documents with one random mutation each: a member dropped, a
+   key "zz" added, or a value retyped, anywhere in the tree.  A decoder
+   must answer Ok or Error and never raise; the wire decoders must also
+   name an added top-level key. *)
+
+module Protocol = Serve.Protocol
+
+(* A shard seed is one document of a complete set: the mutated copy
+   replaces the [i]th member and the whole set goes to the merge. *)
+type target = Request | Reply | Shard of (string * Json.t) list * int | Log | Trace
+
+let fuzz_seeds =
+  lazy
+    (let mix =
+       In_channel.with_open_text "../examples/serve_mix.ndjson"
+         In_channel.input_all
+       |> String.split_on_char '\n'
+       |> List.filter (fun l -> String.trim l <> "")
+     in
+     let parsed line =
+       match Json.parse line with Ok j -> j | Error m -> failwith m
+     in
+     let server = Serve.Server.create () in
+     let replies =
+       List.concat_map
+         (fun l -> (Serve.Server.submit_line server l).Serve.Server.replies)
+         mix
+       @ Serve.Server.finish server
+     in
+     let seed = 2006 in
+     let experiments =
+       List.init 2 (fun index ->
+           ( Printf.sprintf "exp_%d.json" index,
+             Json.of_results ~shard:(index, 2) ~seed ~quick:true
+               (Registry.results ~quick:true ~seed
+                  ~only:(Merge.assign { Merge.index; count = 2 } [ "e2"; "e13" ])
+                  ()) ))
+     in
+     let audit =
+       List.init 2 (fun index ->
+           ( Printf.sprintf "sa_%d.json" index,
+             Space_audit.shard_to_json ~timing:true ~shard:(index, 2) ~seed
+               ~quick:true
+               (Space_audit.rows ~quick:true ~shard:(index, 2) ~seed ()) ))
+     in
+     let shard_seeds set = List.mapi (fun i (_, doc) -> (Shard (set, i), doc)) set in
+     let trace =
+       let module T = Obs.Trace in
+       T.start ();
+       T.with_span ~args:[ ("k", T.Int 3) ] "admit" (fun () ->
+           T.instant "tick";
+           T.flow_start ~id:7 "req");
+       T.with_span "dispatch" (fun () ->
+           T.counter "gc" [ ("words", 7.0) ];
+           T.flow_end ~id:7 "req");
+       Chrome_trace.document (T.stop ())
+     in
+     List.map (fun l -> (Request, parsed l)) mix
+     @ List.map (fun r -> (Reply, Protocol.reply_to_json r)) replies
+     @ shard_seeds experiments @ shard_seeds audit
+     @ [
+         ( Log,
+           parsed
+             {|{"code":"bad_request","conn":0,"event":"rejected","id":null,"latency_ms":0.0,"op":null,"queue_depth":0,"seq":0,"ts_ms":1.5}|}
+         );
+         (Trace, trace);
+       ])
+
+let decode target doc =
+  let joined = Result.map_error (String.concat "; ") in
+  match target with
+  | Request ->
+      Protocol.parse_line (Json.to_line doc)
+      |> Result.map ignore
+      |> Result.map_error (fun e -> e.Protocol.message)
+  | Reply -> Result.map ignore (Protocol.reply_of_json doc)
+  | Shard (set, i) ->
+      Result.map ignore
+        (Merge.merge
+           (List.mapi (fun j (label, d) -> (label, if i = j then doc else d)) set))
+  | Log -> joined (Result.map ignore (Serve.Reqlog.lint [ Json.to_line doc ]))
+  | Trace -> joined (Result.map ignore (Chrome_trace.lint doc))
+
+(* The [n]th node (preorder, wrapping) satisfying [p] becomes [f node]. *)
+let map_nth p f n doc =
+  let rec count v =
+    (if p v then 1 else 0)
+    +
+    match v with
+    | Json.List xs -> List.fold_left (fun a x -> a + count x) 0 xs
+    | Json.Obj kvs -> List.fold_left (fun a (_, x) -> a + count x) 0 kvs
+    | _ -> 0
+  in
+  let total = count doc in
+  if total = 0 then doc
+  else
+    let left = ref (n mod total) in
+    let rec go v =
+      if p v && (decr left; !left = -1) then f v
+      else
+        match v with
+        | Json.List xs -> Json.List (List.map go xs)
+        | Json.Obj kvs -> Json.Obj (List.map (fun (k, x) -> (k, go x)) kvs)
+        | v -> v
+    in
+    go doc
+
+type mutation = Drop of int * int | Add of int | Retype of int
+
+let mutate m doc =
+  let is_obj = function Json.Obj _ -> true | _ -> false in
+  match m with
+  | Drop (n, j) ->
+      map_nth
+        (function Json.Obj (_ :: _) -> true | _ -> false)
+        (function
+          | Json.Obj kvs ->
+              Json.Obj (List.filteri (fun i _ -> i <> j mod List.length kvs) kvs)
+          | v -> v)
+        n doc
+  | Add n ->
+      map_nth is_obj
+        (function Json.Obj kvs -> Json.Obj (kvs @ [ ("zz", Json.Int 1) ]) | v -> v)
+        n doc
+  | Retype n ->
+      map_nth
+        (fun _ -> true)
+        (function
+          | Json.Null -> Json.Bool false
+          | Json.Bool _ -> Json.Int 1
+          | Json.Int i -> Json.Str (string_of_int i)
+          | Json.Float f -> Json.Str (string_of_float f)
+          | Json.Str s -> Json.Int (String.length s)
+          | Json.List _ -> Json.Obj []
+          | Json.Obj _ -> Json.List [])
+        n doc
+
+let prop_decoders_total =
+  let gen =
+    QCheck.Gen.(
+      let node = oneof [ return 0; int_bound 10_000 ] in
+      pair (int_bound 10_000)
+        (oneof
+           [
+             map2 (fun n j -> Drop (n, j)) node (int_bound 50);
+             map (fun n -> Add n) node;
+             map (fun n -> Retype n) node;
+           ]))
+  in
+  let show (i, m) =
+    Printf.sprintf "seed %d, %s" i
+      (match m with
+      | Drop (n, j) -> Printf.sprintf "drop member %d of object %d" j n
+      | Add n -> Printf.sprintf "add zz to object %d" n
+      | Retype n -> Printf.sprintf "retype node %d" n)
+  in
+  QCheck.Test.make ~name:"every decoder answers Ok/Error on mutated documents"
+    ~count:400 (QCheck.make ~print:show gen) (fun (i, m) ->
+      let seeds = Lazy.force fuzz_seeds in
+      let target, doc = List.nth seeds (i mod List.length seeds) in
+      let wire_root_add =
+        m = Add 0 && match target with Request | Reply -> true | _ -> false
+      in
+      match decode target (mutate m doc) with
+      | exception e ->
+          QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e)
+      | Error msg when wire_root_add ->
+          let has_sub s sub =
+            let n = String.length s and k = String.length sub in
+            let rec at i = i + k <= n && (String.sub s i k = sub || at (i + 1)) in
+            at 0
+          in
+          has_sub msg "zz"
+          || QCheck.Test.fail_reportf "added top-level key not named: %s" msg
+      | Ok _ when wire_root_add ->
+          QCheck.Test.fail_report "an added top-level key was accepted"
+      | Ok _ | Error _ -> true)
 
 let suite =
   [
@@ -244,4 +430,5 @@ let suite =
     ("diff ignored at depth", `Quick, test_diff_ignored_at_depth);
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_ignored_any_depth;
+    QCheck_alcotest.to_alcotest prop_decoders_total;
   ]

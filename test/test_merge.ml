@@ -191,7 +191,19 @@ let test_merge_rejects_duplicate () =
 
 let test_merge_rejects_unsharded_input () =
   expect_error ~substring:"not a shard document"
-    [ ("full.json", full_doc ()) ]
+    [ ("full.json", full_doc ()) ];
+  (* A malformed provenance field is named by its JSON path. *)
+  match shard_docs 2 with
+  | [ s0; (label, d1) ] ->
+      expect_error ~substring:"shard_1.json: shard.index: expected an int"
+        [
+          s0;
+          ( label,
+            set_field "shard"
+              (Json.Obj [ ("index", Json.Str "1"); ("of", Json.Int 2) ])
+              d1 );
+        ]
+  | _ -> Alcotest.fail "expected two shards"
 
 let test_merge_rejects_empty () =
   expect_error ~substring:"no input" []

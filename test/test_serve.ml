@@ -205,7 +205,14 @@ let test_rejects_bad_shard () =
 let test_rejects_undocumented_request_key () =
   ignore
     (expect_decode_error ~code:Protocol.Bad_request
-       {|{"v":1,"id":"q","op":"ping","extra":true}|})
+       {|{"v":1,"id":"q","op":"ping","extra":true}|});
+  (* A key given twice is ambiguous: rejected before the first copy's
+     value is acted on. *)
+  let err =
+    expect_decode_error ~code:Protocol.Bad_request
+      {|{"v":1,"id":"q","op":"run","exp":"e99","exp":"e2"}|}
+  in
+  check_str "the message names the key" "exp: duplicate key" err.Protocol.message
 
 let test_rejects_bad_id () =
   ignore
@@ -214,13 +221,18 @@ let test_rejects_bad_id () =
   ignore
     (expect_decode_error ~code:Protocol.Bad_request {|{"v":1,"id":"","op":"ping"}|})
 
-let expect_reply_rejected line =
+let expect_reply_rejected ?(naming = "") line =
   match Json.parse line with
   | Error msg -> Alcotest.failf "fixture is not JSON: %s" msg
   | Ok json -> (
       match Protocol.reply_of_json json with
       | Ok _ -> Alcotest.failf "reply %S should be rejected" line
-      | Error _ -> ())
+      | Error msg ->
+          let n = String.length naming in
+          check
+            (Printf.sprintf "%S starts with %S" msg naming)
+            true
+            (String.length msg >= n && String.sub msg 0 n = naming))
 
 let test_rejects_undocumented_reply_key () =
   expect_reply_rejected
@@ -230,7 +242,9 @@ let test_rejects_undocumented_reply_key () =
   expect_reply_rejected
     {|{"error":{"code":"not_a_code","message":"m"},"id":"a","ok":false,"v":1}|};
   expect_reply_rejected
-    {|{"id":"a","ok":true,"op":"ping","payload":{},"v":9,"wall_ms":1.0}|}
+    {|{"id":"a","ok":true,"op":"ping","payload":{},"v":9,"wall_ms":1.0}|};
+  expect_reply_rejected ~naming:"error.code: expected a string"
+    {|{"error":{"code":7,"message":"m"},"id":"a","ok":false,"v":1}|}
 
 (* ------------------------------------------------------------ frames *)
 
