@@ -29,6 +29,23 @@ let read_input = function
   | "-" -> In_channel.input_all In_channel.stdin |> String.trim
   | path -> In_channel.with_open_text path In_channel.input_all |> String.trim
 
+(* Write [doc] to [dest] ("-" for stdout; nothing when [dest] is absent),
+   then continue with [k]; a [Sys_error] ends the command with the error
+   ["<what>: <reason>"]. *)
+let write_json ~what dest doc k =
+  match dest with
+  | None -> k ()
+  | Some dest -> (
+      let text = Experiments.Json.to_string doc in
+      match
+        if dest = "-" then print_string text
+        else
+          Out_channel.with_open_text dest (fun oc ->
+              Out_channel.output_string oc text)
+      with
+      | exception Sys_error msg -> `Error (false, what ^ ": " ^ msg)
+      | () -> k ())
+
 (* ------------------------------------------------------------------ gen *)
 
 let gen_cmd =
@@ -133,12 +150,6 @@ let run_all_cmd =
       & info [ "only" ] ~docv:"IDS"
           ~doc:"Comma-separated experiment ids to run (e.g. e3,e9); default all.")
   in
-  let sequential =
-    Arg.(
-      value & flag
-      & info [ "sequential" ]
-          ~doc:"Run experiments one after another on a single domain (results are identical; this is a debugging escape hatch).")
-  in
   let domains =
     Arg.(
       value
@@ -190,7 +201,7 @@ let run_all_cmd =
           ~doc:
             "Run only shard I of N (0-based): the selected experiments are dealt round-robin by catalogue position, so the N shards partition the run and each shard's output is byte-stable. The JSON document carries a shard provenance field; recombine a complete shard set with 'oqsc merge'.")
   in
-  let action quick seed only sequential domains json_file timing check tolerance quiet
+  let action quick seed only domains json_file timing check tolerance quiet
       trace_file shard =
     let only =
       Option.map
@@ -243,7 +254,7 @@ let run_all_cmd =
     let traced_run () =
       let results =
         Obs.Trace.with_span "run-all.experiments" (fun () ->
-            Experiments.Registry.results ~quick ~seed ~sequential ?domains
+            Experiments.Registry.results ~quick ~seed ?domains
               ~only:selected ())
       in
       if not quiet then
@@ -280,18 +291,7 @@ let run_all_cmd =
           Experiments.Json.of_results ~timing ?shard:shard_field ~seed ~quick
             results
         in
-        match
-          match json_file with
-          | Some "-" ->
-              print_string (Experiments.Json.to_string (doc ~timing))
-          | Some path ->
-              Out_channel.with_open_text path (fun oc ->
-                  Out_channel.output_string oc
-                    (Experiments.Json.to_string (doc ~timing)))
-          | None -> ()
-        with
-        | exception Sys_error msg -> `Error (false, "--json: " ^ msg)
-        | () -> (
+        write_json ~what:"--json" json_file (doc ~timing) (fun () ->
         match check with
         | None -> `Ok ()
         | Some path -> (
@@ -323,7 +323,7 @@ let run_all_cmd =
          "Run experiments across domains; optionally emit JSON results, record a Chrome trace timeline, and gate against a baseline.")
     Term.(
       ret
-        (const action $ quick $ seed $ only $ sequential $ domains $ json_file
+        (const action $ quick $ seed $ only $ domains $ json_file
        $ timing $ check $ tolerance $ quiet $ trace_file $ shard))
 
 (* ---------------------------------------------------------- space-audit *)
@@ -365,18 +365,6 @@ let space_audit_cmd =
       rows;
     Printf.printf "all  %10.1f ms\n" total
   in
-  let write_doc json_file doc k =
-    match
-      match json_file with
-      | Some "-" -> print_string (Experiments.Json.to_string doc)
-      | Some path ->
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc (Experiments.Json.to_string doc))
-      | None -> ()
-    with
-    | exception Sys_error msg -> `Error (false, "--json: " ^ msg)
-    | () -> k ()
-  in
   let action quick seed json_file quiet timing shard =
     match
       match shard with
@@ -401,7 +389,7 @@ let space_audit_cmd =
                (fun acc (r : Experiments.Space_audit.row) ->
                  acc +. r.Experiments.Space_audit.wall_ms)
                0.0 rows);
-        write_doc json_file
+        write_json ~what:"--json" json_file
           (Experiments.Space_audit.shard_to_json ~timing ~shard ~seed ~quick
              rows)
           (fun () -> `Ok ())
@@ -415,7 +403,7 @@ let space_audit_cmd =
         if timing then
           timing_table a.Experiments.Space_audit.rows
             (Experiments.Space_audit.total_wall_ms a);
-        write_doc json_file
+        write_json ~what:"--json" json_file
           (Experiments.Space_audit.to_json ~timing ~seed ~quick a)
           (fun () ->
             if Experiments.Space_audit.passed a then `Ok ()
@@ -474,17 +462,8 @@ let merge_cmd =
     | Ok docs -> (
         match Experiments.Merge.merge docs with
         | Error msg -> `Error (false, "merge: " ^ msg)
-        | Ok merged -> (
-            let text = Experiments.Json.to_string merged in
-            match
-              match out with
-              | "-" -> print_string text
-              | path ->
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc text)
-            with
-            | exception Sys_error msg -> `Error (false, "merge: " ^ msg)
-            | () -> `Ok ()))
+        | Ok merged ->
+            write_json ~what:"merge" (Some out) merged (fun () -> `Ok ()))
   in
   Cmd.v
     (Cmd.info "merge"
@@ -853,19 +832,8 @@ let bench_serve_cmd =
             in
             Serve.Bench_serve.print report_fmt report;
             Format.pp_print_flush report_fmt ();
-            let text () =
-              Experiments.Json.to_string (Serve.Bench_serve.to_json report)
-            in
-            match
-              match json_file with
-              | Some "-" -> print_string (text ())
-              | Some path ->
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc (text ()))
-              | None -> ()
-            with
-            | exception Sys_error msg -> `Error (false, "--json: " ^ msg)
-            | () -> `Ok ()))
+            write_json ~what:"--json" json_file
+              (Serve.Bench_serve.to_json report) (fun () -> `Ok ())))
   in
   Cmd.v
     (Cmd.info "bench-serve"

@@ -109,3 +109,20 @@ let feed t sym =
     end
   | 2 -> fail t
   | _ -> Bad
+
+let drive ws ?(max_k = max_k) start observe stream =
+  let t = create ws in
+  let procs = ref None in
+  Stream.iter
+    (fun sym ->
+      match feed t sym with
+      | Prefix_sep as role ->
+          let k = Workspace.get ws t.k_reg in
+          if k <= max_k then begin
+            let p = start k in
+            procs := Some p;
+            observe p role
+          end
+      | role -> ( match !procs with Some p -> observe p role | None -> ()))
+    stream;
+  (t, !procs)

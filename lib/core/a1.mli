@@ -39,3 +39,18 @@ val finished_ok : t -> bool
 
 val failed : t -> bool
 (** True as soon as a structural violation has been seen. *)
+
+val drive :
+  Machine.Workspace.t ->
+  ?max_k:int ->
+  (int -> 'p) ->
+  ('p -> role -> unit) ->
+  Machine.Stream.t ->
+  t * 'p option
+(** The one online pass every A1-keyed machine makes.
+    [drive ws start observe stream] creates A1 on [ws] and streams the
+    input through it.  At the prefix separator, if A1 has read
+    [k <= max_k] (default {!max_k}), it calls [start k] to set up the
+    machine's procedures; from the separator's own role onward, every
+    role goes to [observe].  Returns A1 and the procedures, if they were
+    started. *)

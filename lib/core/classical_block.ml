@@ -13,58 +13,43 @@ type run = {
 
 type st = {
   a2 : A2.t;
-  block : Bitstore.t;  (* the 2^k bits of x's current block *)
+  block : Bitstore.t;  (* the bits of x's current block *)
   collision : Workspace.reg;
-  k : int;
+  log_block : int;
 }
 
-let run_stream ?rng stream =
-  let rng = match rng with Some r -> r | None -> Rng.create 0xB10C in
+let run_blocks ~name ~log_block ~seed ?rng stream =
+  let rng = match rng with Some r -> r | None -> Rng.create seed in
   let ws = Workspace.create () in
-  let a1 = A1.create ws in
-  let st = ref None in
-  let consume sym =
-    let role = A1.feed a1 sym in
-    (match role with
-    | A1.Prefix_sep -> begin
-        match A1.k a1 with
-        | Some k when k <= A1.max_k ->
-            st :=
-              Some
-                {
-                  a2 = A2.create ws rng ~k;
-                  block = Bitstore.alloc ws ~name:"block.x" ~bits:(1 lsl k);
-                  collision = Workspace.alloc_flag ws ~name:"block.collision";
-                  k;
-                }
-        | _ -> ()
-      end
-    | _ -> ());
-    match !st with
-    | None -> ()
-    | Some s -> begin
-        A2.observe s.a2 role;
-        match role with
-        | A1.Block_bit { rep; seg; idx; bit } -> begin
-            (* Repetition [rep] owns block [rep]: indices
-               [rep * 2^k, (rep+1) * 2^k). *)
-            let lo = rep lsl s.k and hi = (rep + 1) lsl s.k in
-            if idx >= lo && idx < hi then begin
-              match seg with
-              | A1.X -> Bitstore.set s.block (idx - lo) bit
-              | A1.Y ->
-                  if bit && Bitstore.get s.block (idx - lo) then
-                    Workspace.set_flag ws s.collision true
-              | A1.Z -> ()
-            end
-          end
-        | A1.Prefix_one | A1.Prefix_sep | A1.Block_sep _ | A1.Bad -> ()
-      end
+  let start k =
+    let a2 = A2.create ws rng ~k in
+    let log_block = log_block k in
+    let block = Bitstore.alloc ws ~name:(name ^ ".x") ~bits:(1 lsl log_block) in
+    let collision = Workspace.alloc_flag ws ~name:(name ^ ".collision") in
+    { a2; block; collision; log_block }
   in
-  Stream.iter consume stream;
+  let observe s role =
+    A2.observe s.a2 role;
+    match role with
+    | A1.Block_bit { rep; seg; idx; bit } -> begin
+        (* Repetition [rep] owns block [rep]: indices
+           [rep * 2^log_block, (rep+1) * 2^log_block). *)
+        let lo = rep lsl s.log_block and hi = (rep + 1) lsl s.log_block in
+        if idx >= lo && idx < hi then begin
+          match seg with
+          | A1.X -> Bitstore.set s.block (idx - lo) bit
+          | A1.Y ->
+              if bit && Bitstore.get s.block (idx - lo) then
+                Workspace.set_flag ws s.collision true
+          | A1.Z -> ()
+        end
+      end
+    | A1.Prefix_one | A1.Prefix_sep | A1.Block_sep _ | A1.Bad -> ()
+  in
+  let a1, st = A1.drive ws start observe stream in
   let a1_ok = A1.finished_ok a1 in
   let a2_ok, collision_found, storage_bits =
-    match !st with
+    match st with
     | Some s ->
         (A2.verdict s.a2, Workspace.get_flag ws s.collision, Bitstore.bits s.block)
     | None -> (false, false, 0)
@@ -78,5 +63,7 @@ let run_stream ?rng stream =
     a2_ok;
     collision_found;
   }
+
+let run_stream = run_blocks ~name:"block" ~log_block:Fun.id ~seed:0xB10C
 
 let run ?rng input = run_stream ?rng (Stream.of_string input)

@@ -14,7 +14,7 @@
 type run = {
   accept : bool;
   space_bits : int;  (** peak metered classical bits *)
-  storage_bits : int;  (** the block store alone: exactly 2^k *)
+  storage_bits : int;  (** the block store alone: 2^k bits for {!run} *)
   k : int option;
   a1_ok : bool;
   a2_ok : bool;
@@ -23,3 +23,17 @@ type run = {
 
 val run : ?rng:Mathx.Rng.t -> string -> run
 val run_stream : ?rng:Mathx.Rng.t -> Machine.Stream.t -> run
+
+val run_blocks :
+  name:string ->
+  log_block:(int -> int) ->
+  seed:int ->
+  ?rng:Mathx.Rng.t ->
+  Machine.Stream.t ->
+  run
+(** The block machine with blocks of [2^{log_block k}] bits: repetition
+    [i] stores and tests block [i] of [x], so only the first
+    [2^{2k - log_block k}] repetitions own a block.  Its registers are
+    named [name.x] and [name.collision]; [seed] seeds the default rng.
+    {!run_stream} is [log_block = Fun.id]; {!Naive} is the single block
+    [log_block k = 2k]. *)

@@ -1,7 +1,4 @@
-open Machine
-open Mathx
-
-type run = {
+type run = Classical_block.run = {
   accept : bool;
   space_bits : int;
   storage_bits : int;
@@ -11,60 +8,7 @@ type run = {
   collision_found : bool;
 }
 
-type st = { a2 : A2.t; x : Bitstore.t; collision : Workspace.reg }
+let run_stream =
+  Classical_block.run_blocks ~name:"naive" ~log_block:(fun k -> 2 * k) ~seed:0xA11E
 
-let run_stream ?rng stream =
-  let rng = match rng with Some r -> r | None -> Rng.create 0xA11E in
-  let ws = Workspace.create () in
-  let a1 = A1.create ws in
-  let st = ref None in
-  let consume sym =
-    let role = A1.feed a1 sym in
-    (match role with
-    | A1.Prefix_sep -> begin
-        match A1.k a1 with
-        | Some k when k <= A1.max_k ->
-            st :=
-              Some
-                {
-                  a2 = A2.create ws rng ~k;
-                  x = Bitstore.alloc ws ~name:"naive.x" ~bits:(1 lsl (2 * k));
-                  collision = Workspace.alloc_flag ws ~name:"naive.collision";
-                }
-        | _ -> ()
-      end
-    | _ -> ());
-    match !st with
-    | None -> ()
-    | Some s -> begin
-        A2.observe s.a2 role;
-        match role with
-        | A1.Block_bit { rep; seg; idx; bit } -> begin
-            match seg with
-            | A1.X -> if rep = 0 then Bitstore.set s.x idx bit
-            | A1.Y ->
-                if rep = 0 && bit && Bitstore.get s.x idx then
-                  Workspace.set_flag ws s.collision true
-            | A1.Z -> ()
-          end
-        | A1.Prefix_one | A1.Prefix_sep | A1.Block_sep _ | A1.Bad -> ()
-      end
-  in
-  Stream.iter consume stream;
-  let a1_ok = A1.finished_ok a1 in
-  let a2_ok, collision_found, storage_bits =
-    match !st with
-    | Some s -> (A2.verdict s.a2, Workspace.get_flag ws s.collision, Bitstore.bits s.x)
-    | None -> (false, false, 0)
-  in
-  {
-    accept = a1_ok && a2_ok && not collision_found;
-    space_bits = Workspace.peak_classical_bits ws;
-    storage_bits;
-    k = A1.k a1;
-    a1_ok;
-    a2_ok;
-    collision_found;
-  }
-
-let run ?rng input = run_stream ?rng (Stream.of_string input)
+let run ?rng input = run_stream ?rng (Machine.Stream.of_string input)

@@ -22,52 +22,27 @@ let simulation_max_k = 10
 let run_stream ?rng stream =
   let rng = match rng with Some r -> r | None -> default_rng () in
   let ws = Workspace.create () in
-  let a1 = A1.create ws in
-  let a2 = ref None and a3 = ref None in
-  let consume sym =
-    let role = A1.feed a1 sym in
-    (match role with
-    | A1.Prefix_sep -> begin
-        match A1.k a1 with
-        | Some k when k <= simulation_max_k ->
-            a2 := Some (A2.create ws rng ~k);
-            a3 := Some (A3.create ws rng ~k)
-        | _ -> ()
-      end
-    | _ -> ());
-    (match !a2 with Some p -> A2.observe p role | None -> ());
-    match !a3 with Some p -> A3.observe p role | None -> ()
+  let start k =
+    let a2 = A2.create ws rng ~k in
+    (a2, A3.create ws rng ~k)
   in
-  Stream.iter consume stream;
+  let observe (a2, a3) role =
+    A2.observe a2 role;
+    A3.observe a3 role
+  in
+  let a1, procs = A1.drive ws ~max_k:simulation_max_k start observe stream in
   let a1_ok = A1.finished_ok a1 in
-  let a2_ok = match !a2 with Some p -> A2.verdict p | None -> false in
+  let a2_ok = match procs with Some (a2, _) -> A2.verdict a2 | None -> false in
   let space =
     { classical_bits = Workspace.peak_classical_bits ws; qubits = Workspace.qubits ws }
   in
-  if not (a1_ok && a2_ok) then
-    {
-      accept = false;
-      accept_probability = 0.0;
-      space;
-      k = A1.k a1;
-      a1_ok;
-      a2_ok;
-    }
-  else begin
-    match !a3 with
-    | None -> assert false (* a1_ok implies the prefix separator was seen *)
-    | Some p ->
-        let prob_accept = 1.0 -. A3.prob_output_zero p in
-        let accept = A3.sample_output p rng in
-        {
-          accept;
-          accept_probability = prob_accept;
-          space;
-          k = A1.k a1;
-          a1_ok;
-          a2_ok;
-        }
-  end
+  let k = A1.k a1 in
+  match procs with
+  | Some (_, a3) when a1_ok && a2_ok ->
+      let accept_probability = 1.0 -. A3.prob_output_zero a3 in
+      let accept = A3.sample_output a3 rng in
+      { accept; accept_probability; space; k; a1_ok; a2_ok }
+  | _ -> { accept = false; accept_probability = 0.0; space; k; a1_ok; a2_ok }
 
 let run ?rng input = run_stream ?rng (Stream.of_string input)
 

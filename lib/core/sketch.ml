@@ -11,7 +11,6 @@ type run = {
 }
 
 type st = {
-  k : int;
   m : int;
   bitmap : Bitstore.t;
   offset : Workspace.reg;  (* subsample window start / bucket hash offset *)
@@ -23,8 +22,6 @@ let run ?rng ~strategy ~budget input =
   if budget < 1 then invalid_arg "Sketch.run: budget must be >= 1";
   let rng = match rng with Some r -> r | None -> Rng.create 0x5CE7 in
   let ws = Workspace.create () in
-  let a1 = A1.create ws in
-  let st = ref None in
   let bucket s idx =
     (* Affine hash into [0, budget). *)
     let a = Workspace.get ws s.stride and b = Workspace.get ws s.offset in
@@ -34,34 +31,25 @@ let run ?rng ~strategy ~budget input =
     Workspace.set ws s.offset (Rng.int rng s.m);
     Bitstore.clear s.bitmap
   in
-  let consume sym =
-    let role = A1.feed a1 sym in
-    (match role with
-    | A1.Prefix_sep -> begin
-        match A1.k a1 with
-        | Some k when k <= A1.max_k ->
-            let m = 1 lsl (2 * k) in
-            let s =
-              {
-                k;
-                m;
-                bitmap = Bitstore.alloc ws ~name:"sketch.bitmap" ~bits:budget;
-                offset = Workspace.alloc ws ~name:"sketch.offset" ~bits:(max 1 (2 * k));
-                stride = Workspace.alloc ws ~name:"sketch.stride" ~bits:(max 1 (2 * k));
-                found = Workspace.alloc_flag ws ~name:"sketch.found";
-              }
-            in
-            (* Random odd multiplier for the bucket hash; random window
-               start for the subsample. *)
-            Workspace.set ws s.stride ((Rng.int rng m) lor 1);
-            Workspace.set ws s.offset (Rng.int rng m);
-            st := Some s
-        | _ -> ()
-      end
-    | _ -> ());
-    match (!st, role) with
-    | None, _ -> ()
-    | Some s, A1.Block_bit { rep; seg; idx; bit } -> begin
+  let start k =
+    let m = 1 lsl (2 * k) in
+    let s =
+      {
+        m;
+        bitmap = Bitstore.alloc ws ~name:"sketch.bitmap" ~bits:budget;
+        offset = Workspace.alloc ws ~name:"sketch.offset" ~bits:(max 1 (2 * k));
+        stride = Workspace.alloc ws ~name:"sketch.stride" ~bits:(max 1 (2 * k));
+        found = Workspace.alloc_flag ws ~name:"sketch.found";
+      }
+    in
+    (* Random odd multiplier for the bucket hash; random window
+       start for the subsample. *)
+    Workspace.set ws s.stride ((Rng.int rng m) lor 1);
+    Workspace.set ws s.offset (Rng.int rng m);
+    s
+  in
+  let observe s = function
+    | A1.Block_bit { rep; seg; idx; bit } -> begin
         match strategy with
         | Bucket_filter ->
             if rep = 0 && bit then begin
@@ -85,14 +73,14 @@ let run ?rng ~strategy ~budget input =
               end
             end
       end
-    | Some s, A1.Block_sep { seg = A1.Z; _ } ->
+    | A1.Block_sep { seg = A1.Z; _ } ->
         (* Repetition boundary: the subsample redraws its window. *)
         if strategy = Subsample then fresh_window s
-    | Some _, _ -> ()
+    | _ -> ()
   in
-  Stream.iter consume (Stream.of_string input);
+  let _, st = A1.drive ws start observe (Stream.of_string input) in
   let claims =
-    match !st with Some s -> Workspace.get_flag ws s.found | None -> false
+    match st with Some s -> Workspace.get_flag ws s.found | None -> false
   in
   {
     claims_intersecting = claims;

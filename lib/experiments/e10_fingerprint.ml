@@ -23,24 +23,19 @@ let a2_false_pass rng ~k ~trials =
     let base = Lang.Instance.disjoint_pair (Rng.split rng) ~k in
     let corrupted = Lang.Instance.corrupt_repetition (Rng.split rng) ~base in
     let ws = Machine.Workspace.create () in
-    let a1 = Oqsc.A1.create ws in
     let rng' = Rng.split rng in
-    let a2 = ref None in
-    Machine.Stream.iter
-      (fun sym ->
-        let role = Oqsc.A1.feed a1 sym in
-        (match role with
-        | Oqsc.A1.Prefix_sep -> a2 := Some (Oqsc.A2.create ws rng' ~k)
-        | _ -> ());
-        match !a2 with Some p -> Oqsc.A2.observe p role | None -> ())
-      (Machine.Stream.of_string corrupted.Lang.Instance.input);
-    (match !a2 with
-    | Some p ->
+    (match
+       Oqsc.A1.drive ws
+         (fun k -> Oqsc.A2.create ws rng' ~k)
+         Oqsc.A2.observe
+         (Machine.Stream.of_string corrupted.Lang.Instance.input)
+     with
+    | _, Some p ->
         prime_bits :=
           (let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
            bits 0 (Oqsc.A2.prime p - 1));
         if Oqsc.A2.verdict p then incr misses
-    | None -> ())
+    | _, None -> ())
   done;
   (float_of_int !misses /. float_of_int trials, !prime_bits)
 

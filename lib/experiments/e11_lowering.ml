@@ -18,24 +18,17 @@ type row = {
   optimized_equivalent : bool;
 }
 
-let a3_circuit ~k ~j input =
+let a3_circuit ~j input =
   let ws = Machine.Workspace.create () in
-  let a1 = Oqsc.A1.create ws in
   let rng = Rng.create 11 in
-  let a3 = ref None in
-  Machine.Stream.iter
-    (fun sym ->
-      let role = Oqsc.A1.feed a1 sym in
-      (match role with
-      | Oqsc.A1.Prefix_sep ->
-          a3 := Some (Oqsc.A3.create ~emit_circuit:true ~force_j:j ws rng ~k)
-      | _ -> ());
-      match !a3 with Some p -> Oqsc.A3.observe p role | None -> ())
-    (Machine.Stream.of_string input);
-  match !a3 with
-  | Some p -> (
+  match
+    Oqsc.A1.drive ws
+      (fun k -> Oqsc.A3.create ~emit_circuit:true ~force_j:j ws rng ~k)
+      Oqsc.A3.observe (Machine.Stream.of_string input)
+  with
+  | _, Some p -> (
       match Oqsc.A3.circuit p with Some c -> c | None -> assert false)
-  | None -> failwith "E11: input had no prefix separator"
+  | _, None -> failwith "E11: input had no prefix separator"
 
 let rows ?(quick = false) ~seed () =
   let rng = Rng.create seed in
@@ -43,7 +36,7 @@ let rows ?(quick = false) ~seed () =
   List.map
     (fun (k, j) ->
       let inst = Lang.Instance.disjoint_pair (Rng.split rng) ~k in
-      let structured = a3_circuit ~k ~j inst.Lang.Instance.input in
+      let structured = a3_circuit ~j inst.Lang.Instance.input in
       let basis = Circuit.Lower.to_basis structured in
       let ancillas = Circuit.Circ.nqubits basis - Circuit.Circ.nqubits structured in
       let wire = Circuit.Wire.emit basis in

@@ -10,23 +10,17 @@ type row = {
 (* Run A1 + A3 with a noise hook; A2 is irrelevant here (inputs are
    well-formed by construction) but the full pipeline semantics are kept:
    accept iff A3 outputs 1. *)
-let noisy_a3_accepts rng ~k ~p input =
+let noisy_a3_accepts rng ~p input =
   let ws = Machine.Workspace.create () in
-  let a1 = Oqsc.A1.create ws in
   let noise_rng = Rng.split rng in
   let noise state = Quantum.Noise.depolarize_all noise_rng ~p state in
-  let a3 = ref None in
-  Machine.Stream.iter
-    (fun sym ->
-      let role = Oqsc.A1.feed a1 sym in
-      (match role with
-      | Oqsc.A1.Prefix_sep -> a3 := Some (Oqsc.A3.create ~noise ws rng ~k)
-      | _ -> ());
-      match !a3 with Some proc -> Oqsc.A3.observe proc role | None -> ())
-    (Machine.Stream.of_string input);
-  match !a3 with
-  | Some proc -> Oqsc.A3.sample_output proc rng
-  | None -> false
+  match
+    Oqsc.A1.drive ws
+      (fun k -> Oqsc.A3.create ~noise ws rng ~k)
+      Oqsc.A3.observe (Machine.Stream.of_string input)
+  with
+  | _, Some proc -> Oqsc.A3.sample_output proc rng
+  | _, None -> false
 
 let rows ?(quick = false) ~seed ~k () =
   let rng = Rng.create seed in
@@ -39,11 +33,11 @@ let rows ?(quick = false) ~seed ~k () =
           (fun ~chunk:_ ~rng ->
             let member = Lang.Instance.disjoint_pair (Rng.split rng) ~k in
             let member_ok =
-              noisy_a3_accepts (Rng.split rng) ~k ~p member.Lang.Instance.input
+              noisy_a3_accepts (Rng.split rng) ~p member.Lang.Instance.input
             in
             let bad = Lang.Instance.intersecting_pair (Rng.split rng) ~k ~t:1 in
             let reject_ok =
-              not (noisy_a3_accepts (Rng.split rng) ~k ~p bad.Lang.Instance.input)
+              not (noisy_a3_accepts (Rng.split rng) ~p bad.Lang.Instance.input)
             in
             (member_ok, reject_ok))
           ~rng

@@ -11,20 +11,16 @@ type row = {
 
 (* Exact rejection probability of A3 with iteration count [j] on a fixed
    instance, by streaming the input through A1 + A3. *)
-let a3_reject_prob ~k ~j input =
+let a3_reject_prob ~j input =
   let ws = Machine.Workspace.create () in
-  let a1 = Oqsc.A1.create ws in
   let rng = Rng.create 7 in
-  let a3 = ref None in
-  Machine.Stream.iter
-    (fun sym ->
-      let role = Oqsc.A1.feed a1 sym in
-      (match role with
-      | Oqsc.A1.Prefix_sep -> a3 := Some (Oqsc.A3.create ~force_j:j ws rng ~k)
-      | _ -> ());
-      match !a3 with Some p -> Oqsc.A3.observe p role | None -> ())
-    (Machine.Stream.of_string input);
-  match !a3 with Some p -> Oqsc.A3.prob_output_zero p | None -> 0.0
+  match
+    Oqsc.A1.drive ws
+      (fun k -> Oqsc.A3.create ~force_j:j ws rng ~k)
+      Oqsc.A3.observe (Machine.Stream.of_string input)
+  with
+  | _, Some p -> Oqsc.A3.prob_output_zero p
+  | _, None -> 0.0
 
 let rows ?(quick = false) ~seed ~k () =
   let rng = Rng.create seed in
@@ -39,7 +35,7 @@ let rows ?(quick = false) ~seed ~k () =
       let inst = Lang.Instance.intersecting_pair (Rng.split rng) ~k ~t in
       let acc = ref 0.0 in
       for j = 0 to rounds - 1 do
-        acc := !acc +. a3_reject_prob ~k ~j inst.Lang.Instance.input
+        acc := !acc +. a3_reject_prob ~j inst.Lang.Instance.input
       done;
       let simulated = !acc /. float_of_int rounds in
       let closed_form = Grover.Analysis.avg_success_random_j ~rounds ~t ~space:m in

@@ -132,10 +132,8 @@ let result ?(quick = false) ?(seed = 2006) id : Report.t =
 (* Run a selection of experiments (default: all, in catalogue order)
    across domains.  [only] filters by id, preserving catalogue order;
    an unknown id raises [Not_found] before any work starts.
-   [sequential] forces a single domain (the --sequential escape hatch);
-   otherwise [domains] defaults to [Parallel.recommended_domains]. *)
-let results ?(quick = false) ?(seed = 2006) ?(sequential = false) ?domains
-    ?only () : Report.t list =
+   [domains] defaults to [Parallel.recommended_domains]. *)
+let results ?(quick = false) ?(seed = 2006) ?domains ?only () : Report.t list =
   let selected =
     match only with
     | None -> ids
@@ -144,7 +142,6 @@ let results ?(quick = false) ?(seed = 2006) ?(sequential = false) ?domains
         List.filter (fun id -> List.mem id wanted) ids
   in
   let arr = Array.of_list selected in
-  let domains = if sequential then Some 1 else domains in
   Parallel.map_chunks ?domains ~chunks:(Array.length arr)
     (fun ~chunk ~rng:_ -> result ~quick ~seed arr.(chunk))
     ~rng:(Rng.create seed)

@@ -27,7 +27,6 @@ val result : ?quick:bool -> ?seed:int -> string -> Report.t
 val results :
   ?quick:bool ->
   ?seed:int ->
-  ?sequential:bool ->
   ?domains:int ->
   ?only:string list ->
   unit ->
@@ -36,9 +35,9 @@ val results :
     domains via {!Mathx.Parallel.map_chunks} and returns the results in
     catalogue order.  [only] filters by id (catalogue order is
     preserved; @raise Not_found on an unknown id before any work
-    starts).  [sequential:true] forces a single domain — the
-    [--sequential] escape hatch; otherwise [domains] defaults to
-    {!Mathx.Parallel.recommended_domains}. *)
+    starts).  [domains] defaults to
+    {!Mathx.Parallel.recommended_domains}; [domains = 1] runs them one
+    after another. *)
 
 val document : ?quick:bool -> ?seed:int -> string -> Json.t
 (** [document id] is the [oqsc-experiments] JSON document for exactly

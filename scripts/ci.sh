@@ -71,14 +71,18 @@ if want smoke; then
   # Emit a quick baseline, then check the very same run against it: this
   # exercises the emitter, the parser, and the differ end to end, and
   # fails if the document stopped being byte-deterministic.
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --json "$tmp/exp.json"
+  # The baseline runs on one domain, so the default-scheduled run below
+  # checks parallel against sequential too.
+  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --domains 1 \
+    --json "$tmp/exp.json"
   dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
     --check "$tmp/exp.json" --tolerance 0.0
 
-  # Parallel and sequential runs must produce identical bytes.
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --sequential \
-    --json "$tmp/exp_seq.json"
-  cmp "$tmp/exp.json" "$tmp/exp_seq.json"
+  # One and two domains must produce identical bytes (the default may be
+  # one domain on a small machine, so name two explicitly).
+  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --domains 2 \
+    --json "$tmp/exp_d2.json"
+  cmp "$tmp/exp.json" "$tmp/exp_d2.json"
 
   # Both register-backend scheduling paths must too: force every
   # amplitude loop through the chunked dispatch and compare bytes.
@@ -98,21 +102,21 @@ fi
 if want trace; then
   echo "== trace smoke =="
   # Tracing must be write-only: a traced run's gated JSON must match an
-  # untraced baseline byte for byte, on the default, sequential, and
-  # forced-chunked scheduling paths alike. Each emitted timeline must
+  # untraced one-domain baseline byte for byte, on the default,
+  # two-domain, and forced-chunked scheduling paths alike. Each emitted timeline must
   # also survive the structural linter (balanced per-track B/E spans,
   # nondecreasing timestamps, zero dropped events).
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e3 \
+  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e3 --domains 1 \
     --json "$tmp/e3.json"
   dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e3 \
     --trace "$tmp/e3_trace.json" --json "$tmp/e3_traced.json"
   cmp "$tmp/e3.json" "$tmp/e3_traced.json"
   dune exec bin/oqsc_cli.exe -- trace-lint "$tmp/e3_trace.json"
 
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e3 --sequential \
-    --trace "$tmp/e3_trace_seq.json" --json "$tmp/e3_traced_seq.json"
-  cmp "$tmp/e3.json" "$tmp/e3_traced_seq.json"
-  dune exec bin/oqsc_cli.exe -- trace-lint "$tmp/e3_trace_seq.json"
+  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e3 --domains 2 \
+    --trace "$tmp/e3_trace_d2.json" --json "$tmp/e3_traced_d2.json"
+  cmp "$tmp/e3.json" "$tmp/e3_traced_d2.json"
+  dune exec bin/oqsc_cli.exe -- trace-lint "$tmp/e3_trace_d2.json"
 
   OQSC_PAR_THRESHOLD=0 dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
     --only e3 --trace "$tmp/e3_trace_par.json" --json "$tmp/e3_traced_par.json"
@@ -149,15 +153,27 @@ if want shard; then
   cmp "$tmp/sa_full.json" "$tmp/sa_merged.json"
 
   # Malformed selections must fail non-zero with a usable message.
-  ! dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --shard 3/3 2>/dev/null
-  ! dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --shard 0/0 2>/dev/null
-  ! dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --shard x/3 2>/dev/null
-  ! dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e99 2>/dev/null
+  # (A command negated with '!' never trips set -e, so each check
+  # fails the stage explicitly.)
+  for sel in "--shard 3/3" "--shard 0/0" "--shard x/3" "--only e99"; do
+    # $sel is unquoted on purpose: it splits into an option and its value.
+    if dune exec bin/oqsc_cli.exe -- run-all --quick --quiet $sel 2>/dev/null; then
+      echo "run-all accepted $sel" >&2
+      exit 1
+    fi
+  done
   # ... and so must an incomplete or duplicated shard set.
-  ! dune exec bin/oqsc_cli.exe -- merge "$tmp/bad.json" \
-    "$tmp/shard_0.json" "$tmp/shard_1.json" 2>/dev/null
-  ! dune exec bin/oqsc_cli.exe -- merge "$tmp/bad.json" \
-    "$tmp/shard_0.json" "$tmp/shard_0.json" "$tmp/shard_1.json" "$tmp/shard_2.json" 2>/dev/null
+  if dune exec bin/oqsc_cli.exe -- merge "$tmp/bad.json" \
+    "$tmp/shard_0.json" "$tmp/shard_1.json" 2>/dev/null; then
+    echo "merge accepted an incomplete shard set" >&2
+    exit 1
+  fi
+  if dune exec bin/oqsc_cli.exe -- merge "$tmp/bad.json" \
+    "$tmp/shard_0.json" "$tmp/shard_0.json" "$tmp/shard_1.json" "$tmp/shard_2.json" \
+    2>/dev/null; then
+    echo "merge accepted a duplicated shard" >&2
+    exit 1
+  fi
   # ... and so must a retyped envelope field, naming it.
   sed 's/"seed": \([0-9]*\)/"seed": "\1"/' "$tmp/shard_0.json" > "$tmp/shard_0_seed.json"
   grep -q '"seed": "[0-9]*"' "$tmp/shard_0_seed.json"
@@ -239,7 +255,10 @@ if want serve; then
   { cat "$mix"; echo '{"v":1,"id":"z","op":"shutdown"}'; } \
     | dune exec bin/oqsc_cli.exe -- serve > "$tmp/ndjson_replies"
   [ "$(wc -l < "$tmp/ndjson_replies")" -eq 8 ]
-  ! grep -q '"ok":false' "$tmp/ndjson_replies"
+  if grep -q '"ok":false' "$tmp/ndjson_replies"; then
+    echo "serve drew an error reply on the NDJSON mix" >&2
+    exit 1
+  fi
 
   # Error discipline: malformed / unknown-version / unknown-experiment
   # lines draw error replies with the documented codes and never kill
@@ -418,7 +437,10 @@ if want audit; then
   # baseline bytes exactly.
   dune exec bin/oqsc_cli.exe -- space-audit --quick --quiet --timing \
     --json "$tmp/audit_timed.json"
-  ! cmp -s "$tmp/audit.json" "$tmp/audit_timed.json"
+  if cmp -s "$tmp/audit.json" "$tmp/audit_timed.json"; then
+    echo "space-audit --timing added no wall_ms telemetry" >&2
+    exit 1
+  fi
   awk '{ if ($0 ~ /"wall_ms"/) { sub(/,$/, "", prev); next }
          if (have) print prev; prev = $0; have = 1 }
        END { if (have) print prev }' \

@@ -184,15 +184,15 @@ let test_registry_resources () =
     (r.Experiments.Report.resources = again.Experiments.Report.resources)
 
 let test_registry_parallel_vs_sequential () =
-  let doc sequential =
+  let doc domains =
     Experiments.Json.to_string
       (Experiments.Json.of_results ~seed:11 ~quick:true
-         (Experiments.Registry.results ~quick:true ~seed:11 ~sequential
+         (Experiments.Registry.results ~quick:true ~seed:11 ~domains
             ~only:[ "e3"; "e12" ] ()))
   in
   Alcotest.(check string)
     "parallel and sequential documents identical (resources included)"
-    (doc true) (doc false)
+    (doc 1) (doc 2)
 
 (* ---------------------------------------------------------- properties *)
 

@@ -104,6 +104,41 @@ let a1_verdict input =
   ignore (feed_string a1 input);
   Oqsc.A1.finished_ok a1
 
+let test_a1_drive () =
+  (* Procedures that record every role they observe; returns A1, the k
+     of each [start] call, and the observed roles. *)
+  let drive ?max_k input =
+    let starts = ref [] in
+    let a1, seen =
+      Oqsc.A1.drive (Machine.Workspace.create ()) ?max_k
+        (fun k ->
+          starts := k :: !starts;
+          ref [])
+        (fun seen role -> seen := role :: !seen)
+        (Machine.Stream.of_string input)
+    in
+    (a1, !starts, Option.map (fun seen -> List.rev !seen) seen)
+  in
+  let inst = Lang.Instance.disjoint_pair (Rng.create 44) ~k:2 in
+  let input = inst.Lang.Instance.input in
+  let a1, starts, roles = drive input in
+  check "one start, with A1's k" true (starts = [ 2 ] && Oqsc.A1.k a1 = Some 2);
+  (match roles with
+  | Some (Oqsc.A1.Prefix_sep :: rest) ->
+      check_int "every role after the separator" (String.length input - 3)
+        (List.length rest)
+  | _ -> Alcotest.fail "the first observed role is not Prefix_sep");
+  List.iter
+    (fun (what, max_k, input) ->
+      let _, starts, roles = drive ?max_k input in
+      check ("no start: " ^ what) true (starts = [] && roles = None))
+    [
+      ("leading '#'", None, "#" ^ input);
+      ("leading '0'", None, "0" ^ input);
+      ("16 ones", None, String.make 16 '1' ^ "#0");
+      ("k > max_k", Some 1, input);
+    ]
+
 let test_a1_agrees_with_offline_scanner () =
   let rng = Rng.create 67 in
   let agree label input =
@@ -578,7 +613,31 @@ let test_all_recognizers_agree_with_oracle_when_exact () =
         let rq = Oqsc.Recognizer.run ~rng:(Rng.split rng) inst.Lang.Instance.input in
         check "quantum accepts members" true rq.Oqsc.Recognizer.accept
       end)
-    suite
+    suite;
+  (* Naive is the block machine with a single block: on the same coins
+     the two reach the same verdicts and differ only in what they store. *)
+  let k = 2 in
+  let member = Lang.Instance.disjoint_pair (Rng.split rng) ~k in
+  List.iter
+    (fun inst ->
+      let coins = Rng.split rng in
+      let input = inst.Lang.Instance.input in
+      let rb = Oqsc.Classical_block.run ~rng:(Rng.copy coins) input in
+      let rn = Oqsc.Naive.run ~rng:(Rng.copy coins) input in
+      check "naive = block: a1_ok" rb.Oqsc.Classical_block.a1_ok rn.Oqsc.Naive.a1_ok;
+      check "naive = block: a2_ok" rb.Oqsc.Classical_block.a2_ok rn.Oqsc.Naive.a2_ok;
+      check "naive = block: accept" rb.Oqsc.Classical_block.accept rn.Oqsc.Naive.accept;
+      check "both reject" false rn.Oqsc.Naive.accept;
+      let storage log_block =
+        match rb.Oqsc.Classical_block.k with Some k -> 1 lsl log_block k | None -> 0
+      in
+      check_int "block stores 2^k" (storage Fun.id) rb.Oqsc.Classical_block.storage_bits;
+      check_int "naive stores 2^(2k)" (storage (fun k -> 2 * k))
+        rn.Oqsc.Naive.storage_bits)
+    [
+      Lang.Instance.corrupt_repetition (Rng.split rng) ~base:member;
+      Lang.Instance.malformed (Rng.split rng) ~k;
+    ]
 
 let suite =
   [
@@ -590,6 +649,7 @@ let suite =
     ("a1 space independent of n", `Quick, test_a1_space_is_logarithmic);
     ("a1 oversized k", `Quick, test_a1_rejects_oversized_k);
     ("a1 = offline scanner", `Quick, test_a1_agrees_with_offline_scanner);
+    ("a1 drive", `Quick, test_a1_drive);
     ("a2 passes consistent", `Quick, test_a2_passes_consistent);
     ("a2 ignores DISJ", `Quick, test_a2_passes_intersecting_but_consistent);
     ("a2 catches corruption", `Quick, test_a2_catches_corruption);

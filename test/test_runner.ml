@@ -10,7 +10,7 @@ let seed = 424242
 
 (* Cheap experiments only: e2/e5/e13 finish in milliseconds on quick. *)
 let only = [ "e2"; "e5"; "e13" ]
-let run ?sequential () = Registry.results ~quick:true ~seed ?sequential ~only ()
+let run ?domains () = Registry.results ~quick:true ~seed ?domains ~only ()
 
 let doc results = Json.to_string (Json.of_results ~seed ~quick:true results)
 
@@ -31,8 +31,8 @@ let test_json_deterministic () =
 
 let test_parallel_equals_sequential () =
   Alcotest.(check string) "parallel = sequential, same bytes"
-    (doc (run ~sequential:true ()))
-    (doc (run ()))
+    (doc (run ~domains:1 ()))
+    (doc (run ~domains:2 ()))
 
 let test_results_shape () =
   List.iter
