@@ -5,7 +5,7 @@ type segment = X | Y | Z
 type role =
   | Prefix_one
   | Prefix_sep
-  | Block_bit of { rep : int; seg : segment; idx : int; bit : bool }
+  | Block_bits of { rep : int; seg : segment; idx : int; bits : int; len : int }
   | Block_sep of { rep : int; seg : segment }
   | Bad
 
@@ -90,8 +90,14 @@ let feed t sym =
           if idx >= m then fail t
           else begin
             Workspace.set ws t.idx (idx + 1);
-            Block_bit
-              { rep; seg = segment_of_int seg; idx; bit = sym = Symbol.One }
+            Block_bits
+              {
+                rep;
+                seg = segment_of_int seg;
+                idx;
+                bits = (if sym = Symbol.One then 1 else 0);
+                len = 1;
+              }
           end
       | Symbol.Hash ->
           if idx <> m then fail t
@@ -110,19 +116,59 @@ let feed t sym =
   | 2 -> fail t
   | _ -> Bad
 
+let iter_set_bits f ~idx bits =
+  let w = ref bits and i = ref idx in
+  while !w <> 0 do
+    if !w land 1 = 1 then f !i;
+    w := !w lsr 1;
+    incr i
+  done
+
+(* Inside a block, [drive] asks the stream for the run of bits up to
+   the block end or the next multiple of 62, whichever comes first,
+   and turns it into one role: A1's registers are read and [idx]
+   written once per word.  Everything else (a separator, a bit past
+   the block end, a bad character, the prefix) goes through [feed]
+   one symbol at a time, so the two agree on every input. *)
 let drive ws ?(max_k = max_k) start observe stream =
   let t = create ws in
   let procs = ref None in
-  Stream.iter
-    (fun sym ->
-      match feed t sym with
-      | Prefix_sep as role ->
-          let k = Workspace.get ws t.k_reg in
-          if k <= max_k then begin
-            let p = start k in
-            procs := Some p;
-            observe p role
-          end
-      | role -> ( match !procs with Some p -> observe p role | None -> ()))
-    stream;
+  let rec loop () =
+    let len =
+      if Workspace.get ws t.phase <> 1 then 0
+      else begin
+        let idx = Workspace.get ws t.idx in
+        let room =
+          Int.min (t.block_len - idx) (Stream.max_bits - (idx mod Stream.max_bits))
+        in
+        let bits, len = Stream.next_bits stream room in
+        if len > 0 then begin
+          Workspace.set ws t.idx (idx + len);
+          match !procs with
+          | Some p ->
+              let rep = Workspace.get ws t.rep
+              and seg = segment_of_int (Workspace.get ws t.seg) in
+              observe p (Block_bits { rep; seg; idx; bits; len })
+          | None -> ()
+        end;
+        len
+      end
+    in
+    if len > 0 then loop ()
+    else
+      match Stream.next stream with
+      | None -> ()
+      | Some sym ->
+          (match feed t sym with
+          | Prefix_sep as role ->
+              let k = Workspace.get ws t.k_reg in
+              if k <= max_k then begin
+                let p = start k in
+                procs := Some p;
+                observe p role
+              end
+          | role -> ( match !procs with Some p -> observe p role | None -> ()));
+          loop ()
+  in
+  loop ();
   (t, !procs)

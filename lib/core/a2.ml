@@ -5,6 +5,7 @@ type t = {
   ws : Workspace.t;
   p : int;
   point_value : int;  (* the value of [point], fixed at creation like [p] *)
+  recip : int;  (* [reciprocal p point_value], likewise *)
   point : Workspace.reg;
   acc : Workspace.reg;  (* running fingerprint of the current block *)
   pow : Workspace.reg;  (* t^idx for the next bit *)
@@ -14,6 +15,38 @@ type t = {
   ok : Workspace.reg;
   started : Workspace.reg;  (* repetition 0 has no predecessor *)
 }
+
+(* Shoup's precomputed quotient for multiplying by a fixed [point]
+   below a prime [p < 2^31]: with [recip = floor (point * 2^31 / p)]
+   and [x < p], [q = (x * recip) lsr 31] is the quotient of
+   [x * point / p] or one less, so [x * point - q * p] lies in
+   [0, 2p) and one subtraction reduces it.  Every product stays below
+   2^62.  At or above 2^31 there is no reciprocal (-1) and the step
+   calls [Modarith.mulmod]. *)
+let reciprocal ~p ~point = if p < 1 lsl 31 then (point lsl 31) / p else -1
+
+(* A2's update for one word of block bits, with both registers held in
+   locals: bit [i] adds t^idx to the fingerprint, then t^idx moves on
+   to t^(idx+1). *)
+let fold_word ~p ~point ~recip ~pow ~acc ~bits ~len =
+  let pow = ref pow and acc = ref acc in
+  for i = 0 to len - 1 do
+    if (bits lsr i) land 1 = 1 then begin
+      let s = !acc + !pow in
+      acc := if s >= p then s - p else s
+    end;
+    pow :=
+      if recip >= 0 then begin
+        let x = !pow in
+        let r = (x * point) - (((x * recip) lsr 31) * p) in
+        if r >= p then r - p else r
+      end
+      else Modarith.mulmod !pow point p
+  done;
+  (!pow, !acc)
+
+let step_word ~prime ~point =
+  fold_word ~p:prime ~point ~recip:(reciprocal ~p:prime ~point)
 
 let create ws rng ~k =
   if k < 1 || k > A1.max_k then invalid_arg "A2.create: k out of range";
@@ -26,6 +59,7 @@ let create ws rng ~k =
       ws;
       p;
       point_value;
+      recip = reciprocal ~p ~point:point_value;
       point = reg "a2.point";
       acc = reg "a2.acc";
       pow = reg "a2.pow";
@@ -52,11 +86,13 @@ let observe t (role : A1.role) =
   match role with
   | A1.Prefix_one | A1.Prefix_sep -> ()
   | A1.Bad -> check t false
-  | A1.Block_bit { bit; _ } ->
-      let pow = Workspace.get ws t.pow in
-      if bit then
-        Workspace.set ws t.acc (Modarith.addmod (Workspace.get ws t.acc) pow t.p);
-      Workspace.set ws t.pow (Modarith.mulmod pow t.point_value t.p)
+  | A1.Block_bits { bits; len; _ } ->
+      let pow, acc =
+        fold_word ~p:t.p ~point:t.point_value ~recip:t.recip
+          ~pow:(Workspace.get ws t.pow) ~acc:(Workspace.get ws t.acc) ~bits ~len
+      in
+      Workspace.set ws t.acc acc;
+      Workspace.set ws t.pow pow
   | A1.Block_sep { seg; _ } -> begin
       let f = Workspace.get ws t.acc in
       (match seg with

@@ -20,7 +20,19 @@ val create : Machine.Workspace.t -> Mathx.Rng.t -> k:int -> t
     Draws the evaluation point from the given generator. *)
 
 val observe : t -> A1.role -> unit
-(** Consumes the role A1 assigned to the current input symbol. *)
+(** Consumes the role A1 assigned to the current input symbol, or to a
+    word of block bits: the registers are read once, the word is folded
+    in locals, and they are written back once. *)
+
+val step_word :
+  prime:int -> point:int -> pow:int -> acc:int -> bits:int -> len:int -> int * int
+(** [step_word ~prime ~point ~pow ~acc ~bits ~len] is [observe]'s
+    update for a word of [len] bits, as [(pow, acc)]: for each bit [i]
+    in turn, [acc] gains [pow] if the bit is set, then [pow] is
+    multiplied by [point], both modulo [prime] (with [pow, acc, point]
+    below it).  Below 2^31 the product uses a reciprocal of [point]
+    (Shoup's method); above, [Mathx.Modarith.mulmod].  Exposed so tests
+    can check it against chained [mulmod]/[addmod]. *)
 
 val verdict : t -> bool
 (** A2's output bit: true iff every comparison passed. *)

@@ -83,20 +83,25 @@ let fixed_j t = Workspace.get t.ws t.j
 
 let width t = t.lay.Circuit.Ops.address_width
 
-let v_bit t idx =
-  State.apply_xor_on_address t.state ~width:(width t) ~address:idx
+(* The gates of one word's set bits: one state kernel, then, when
+   recording, one gate per bit in input order. *)
+let v_bits t ~idx bits =
+  State.apply_xor_on_addresses t.state ~width:(width t) ~address:idx ~bits
     ~target:t.lay.Circuit.Ops.h ();
-  if t.recording then record t (Circuit.Ops.v_bit t.lay idx)
+  if t.recording then
+    A1.iter_set_bits (fun i -> record t (Circuit.Ops.v_bit t.lay i)) ~idx bits
 
-let w_bit t idx =
-  State.apply_phase_on_address t.state ~width:(width t) ~address:idx
+let w_bits t ~idx bits =
+  State.apply_phase_on_addresses t.state ~width:(width t) ~address:idx ~bits
     ~require:t.lay.Circuit.Ops.h ();
-  if t.recording then record t (Circuit.Ops.w_bit t.lay idx)
+  if t.recording then
+    A1.iter_set_bits (fun i -> record t (Circuit.Ops.w_bit t.lay i)) ~idx bits
 
-let r_bit t idx =
-  State.apply_xor_on_address t.state ~width:(width t) ~address:idx
+let r_bits t ~idx bits =
+  State.apply_xor_on_addresses t.state ~width:(width t) ~address:idx ~bits
     ~require:t.lay.Circuit.Ops.h ~target:t.lay.Circuit.Ops.l ();
-  if t.recording then record t (Circuit.Ops.r_bit t.lay idx)
+  if t.recording then
+    A1.iter_set_bits (fun i -> record t (Circuit.Ops.r_bit t.lay i)) ~idx bits
 
 let diffusion t =
   let w = width t in
@@ -110,19 +115,19 @@ let observe t (role : A1.role) =
   let j = t.j_value in
   match role with
   | A1.Prefix_one | A1.Prefix_sep | A1.Bad -> ()
-  | A1.Block_bit { rep; seg; idx; bit } ->
-      if bit then begin
-        if rep < j then begin
-          match seg with
-          | A1.X | A1.Z -> v_bit t idx
-          | A1.Y -> w_bit t idx
-        end
-        else if rep = j then begin
-          match seg with
-          | A1.X -> v_bit t idx
-          | A1.Y -> r_bit t idx
-          | A1.Z -> ()
-        end
+  | A1.Block_bits { rep; seg; idx; bits; _ } ->
+      (* Repetitions after the j-th carry no gates; in the others each
+         '1' of the word gets its segment's gate, in input order. *)
+      if rep < j then begin
+        match seg with
+        | A1.X | A1.Z -> v_bits t ~idx bits
+        | A1.Y -> w_bits t ~idx bits
+      end
+      else if rep = j then begin
+        match seg with
+        | A1.X -> v_bits t ~idx bits
+        | A1.Y -> r_bits t ~idx bits
+        | A1.Z -> ()
       end
   | A1.Block_sep { rep; seg } ->
       if seg = A1.Z then begin

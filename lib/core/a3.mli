@@ -43,6 +43,9 @@ val create :
     model an imperfect quantum memory.  Default: no noise. *)
 
 val observe : t -> A1.role -> unit
+(** Applies the gates a role calls for.  A word of block bits past the
+    [j]-th repetition is skipped; otherwise each ['1'] in it gets its
+    segment's gate, in input order. *)
 
 val fixed_j : t -> int
 (** The iteration count drawn at creation. *)

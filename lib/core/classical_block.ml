@@ -31,16 +31,19 @@ let run_blocks ~name ~log_block ~seed ?rng stream =
   let observe s role =
     A2.observe s.a2 role;
     match role with
-    | A1.Block_bit { rep; seg; idx; bit } -> begin
+    | A1.Block_bits { rep; seg; idx; bits; len } -> begin
         (* Repetition [rep] owns block [rep]: indices
-           [rep * 2^log_block, (rep+1) * 2^log_block). *)
+           [rep * 2^log_block, (rep+1) * 2^log_block).  The part of the
+           word inside it is the run [a, b). *)
         let lo = rep lsl s.log_block and hi = (rep + 1) lsl s.log_block in
-        if idx >= lo && idx < hi then begin
+        let a = Int.max idx lo and b = Int.min (idx + len) hi in
+        if a < b then begin
+          let w = bits lsr (a - idx) in
           match seg with
-          | A1.X -> Bitstore.set s.block (idx - lo) bit
+          | A1.X -> Bitstore.write s.block (a - lo) ~len:(b - a) w
           | A1.Y ->
-              if bit && Bitstore.get s.block (idx - lo) then
-                Workspace.set_flag ws s.collision true
+              let x = Bitstore.read s.block (a - lo) ~len:(b - a) in
+              if w land x <> 0 then Workspace.set_flag ws s.collision true
           | A1.Z -> ()
         end
       end

@@ -49,30 +49,23 @@ let run ?rng ~strategy ~budget input =
     s
   in
   let observe s = function
-    | A1.Block_bit { rep; seg; idx; bit } -> begin
+    | A1.Block_bits { rep; seg; idx; bits; _ } -> (
+        let mark pos =
+          match seg with
+          | A1.X -> Bitstore.set s.bitmap pos true
+          | A1.Y ->
+              if Bitstore.get s.bitmap pos then Workspace.set_flag ws s.found true
+          | A1.Z -> ()
+        in
         match strategy with
         | Bucket_filter ->
-            if rep = 0 && bit then begin
-              match seg with
-              | A1.X -> Bitstore.set s.bitmap (bucket s idx) true
-              | A1.Y ->
-                  if Bitstore.get s.bitmap (bucket s idx) then
-                    Workspace.set_flag ws s.found true
-              | A1.Z -> ()
-            end
+            if rep = 0 then A1.iter_set_bits (fun idx -> mark (bucket s idx)) ~idx bits
         | Subsample ->
-            if bit then begin
-              let pos = (idx - Workspace.get ws s.offset + s.m) mod s.m in
-              if pos < budget then begin
-                match seg with
-                | A1.X -> Bitstore.set s.bitmap pos true
-                | A1.Y ->
-                    if Bitstore.get s.bitmap pos then
-                      Workspace.set_flag ws s.found true
-                | A1.Z -> ()
-              end
-            end
-      end
+            A1.iter_set_bits
+              (fun idx ->
+                let pos = (idx - Workspace.get ws s.offset + s.m) mod s.m in
+                if pos < budget then mark pos)
+              ~idx bits)
     | A1.Block_sep { seg = A1.Z; _ } ->
         (* Repetition boundary: the subsample redraws its window. *)
         if strategy = Subsample then fresh_window s

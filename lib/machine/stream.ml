@@ -2,12 +2,24 @@
    [fold], loops over them with no option or closure per symbol.
    [pos] moves past a symbol only once it has decoded, so a bad
    character leaves [pos] at its own index, as a raising generator
-   does. *)
-type source = Bytes_of of string | Gen of (int -> Symbol.t option)
+   does.  A generator is asked for each position once: [next_bits]
+   may look one symbol ahead, and [ahead] holds that answer for
+   [next]. *)
+type gen = { f : int -> Symbol.t option; mutable ahead : Symbol.t option option }
+type source = Bytes_of of string | Gen of gen
 type t = { mutable pos : int; src : source }
 
 let of_string s = { pos = 0; src = Bytes_of s }
-let of_fn gen = { pos = 0; src = Gen gen }
+let of_fn f = { pos = 0; src = Gen { f; ahead = None } }
+
+let max_bits = 62
+
+let pull g pos =
+  match g.ahead with
+  | Some answer ->
+      g.ahead <- None;
+      answer
+  | None -> g.f pos
 
 (* [Symbol.of_char], decoded here so the hot loop makes no call
    across modules (dev builds are [-opaque]); a bad character still
@@ -28,12 +40,47 @@ let next t =
         Some sym
       end
       else None
-  | Gen gen -> (
-      match gen t.pos with
+  | Gen g -> (
+      match pull g t.pos with
       | Some sym ->
           t.pos <- t.pos + 1;
           Some sym
       | None -> None)
+
+(* The string loop stops at the first byte that is not a bit and
+   leaves it unread, so [next] then decodes it: a '#' as a symbol, a
+   bad character as its error at its own [pos].  A generator hands out
+   one bit per call, so an exception it raises still surfaces with
+   every earlier symbol already returned. *)
+let next_bits t max =
+  let max = Int.min max max_bits in
+  match t.src with
+  | Bytes_of s ->
+      let start = t.pos in
+      let stop = Int.min (start + max) (String.length s) in
+      let i = ref start and bits = ref 0 and more = ref true in
+      while !more && !i < stop do
+        match String.unsafe_get s !i with
+        | '0' -> incr i
+        | '1' ->
+            bits := !bits lor (1 lsl (!i - start));
+            incr i
+        | _ -> more := false
+      done;
+      t.pos <- !i;
+      (!bits, !i - start)
+  | Gen g ->
+      if max < 1 then (0, 0)
+      else begin
+        let answer = pull g t.pos in
+        match answer with
+        | Some ((Symbol.Zero | Symbol.One) as sym) ->
+            t.pos <- t.pos + 1;
+            ((if sym = Symbol.One then 1 else 0), 1)
+        | _ ->
+            g.ahead <- Some answer;
+            (0, 0)
+      end
 
 let pos t = t.pos
 

@@ -2,15 +2,19 @@
    slot lookup.  [owner] is the id of the allocating workspace, so a
    register handed to another workspace is caught by one int compare
    (an id rather than the workspace itself keeps registers acyclic).
-   [max] is the largest value the width allows, computed at [alloc]. *)
+   [max] is the largest value the width allows, computed at [alloc].
+   [key] is [owner] while the register is live and -1 once it is
+   freed, so one compare answers "this workspace's, and live". *)
 type reg = {
   owner : int;
   name : string;
   bits : int;
   max : int;
   mutable value : int;
-  mutable live : bool;
+  mutable key : int;
 }
+
+let live r = r.key = r.owner
 
 type t = {
   id : int;
@@ -46,7 +50,7 @@ let alloc t ~name ~bits =
     Fmt.invalid_arg "Workspace.alloc: duplicate register name %S" name;
   Hashtbl.replace t.live_names name ();
   let max = if bits = 62 then max_int else (1 lsl bits) - 1 in
-  let r = { owner = t.id; name; bits; max; value = 0; live = true } in
+  let r = { owner = t.id; name; bits; max; value = 0; key = t.id } in
   t.regs <- r :: t.regs;
   t.classical <- t.classical + bits;
   bump_peaks t;
@@ -60,27 +64,36 @@ let check_owner t r = if r.owner <> t.id then invalid_arg "Workspace: invalid re
 
 let free t r =
   check_owner t r;
-  if not r.live then invalid_arg "Workspace.free: register already freed";
-  r.live <- false;
+  if not (live r) then invalid_arg "Workspace.free: register already freed";
+  r.key <- -1;
   Hashtbl.remove t.live_names r.name;
   t.classical <- t.classical - r.bits;
   Obs.Scope.gauge_add "workspace.classical_bits" (-r.bits)
 
-let get t r =
+(* The checks a register access makes, in the order it makes them;
+   [get] and [set] come here only when their one-branch test fails, so
+   every error message is the one this order picks. *)
+let get_slow t r =
   check_owner t r;
-  if not r.live then invalid_arg "Workspace.get: register freed";
+  if not (live r) then invalid_arg "Workspace.get: register freed";
   r.value
+
+let get t r = if r.key = t.id then r.value else get_slow t r
 
 (* [max] has no bit above the width and, being non-negative, not the
    sign bit either, so one mask test rejects both a negative value and
    one that is too wide. *)
-let set t r v =
+let set_slow t r v =
   check_owner t r;
-  if not r.live then invalid_arg "Workspace.set: register freed";
+  if not (live r) then invalid_arg "Workspace.set: register freed";
   if v land lnot r.max <> 0 then
     Fmt.invalid_arg "Workspace.set: value %d does not fit %d bits (%s)" v r.bits
       r.name;
   r.value <- v
+
+let set t r v =
+  if (r.key lxor t.id) lor (v land lnot r.max) = 0 then r.value <- v
+  else set_slow t r v
 
 let incr t r = set t r (get t r + 1)
 
@@ -102,7 +115,7 @@ let snapshot t =
   let buf = Buffer.create 64 in
   List.iter
     (fun r ->
-      if r.live then
+      if live r then
         Buffer.add_string buf (Printf.sprintf "%s:%d=%d;" r.name r.bits r.value))
     (List.rev t.regs);
   Buffer.contents buf

@@ -353,55 +353,79 @@ let apply_hadamard_block s lo count =
 
 (* [width = nqubits] is legal as long as no qubit (target or require) is
    needed above the address register: the enumeration then touches the
-   single basis state [address], the full-register oracle shape. *)
-let check_address_args s ~width ~address =
+   single basis state [address], the full-register oracle shape.  The
+   addresses are [address + i] for the set bits [i] of [bits]; the
+   highest must fit the width. *)
+let check_address_args s ~width ~address ~bits =
   if width < 0 || width > s.n then invalid_arg "State: bad address width";
-  if address < 0 || address >= 1 lsl width then invalid_arg "State: bad address"
+  let rec top i b = if b <= 1 then i else top (i + 1) (b lsr 1) in
+  if address < 0 || bits < 0 || address + top 0 bits >= 1 lsl width then
+    invalid_arg "State: bad address"
 
 let check_above s ~width what q =
   if q < width || q >= s.n then
     Fmt.invalid_arg "State: %s qubit must lie above the address register" what
 
-let apply_xor_on_address s ~width ~address ?require ~target () =
-  check_address_args s ~width ~address;
+let rec popcount b = if b = 0 then 0 else (b land 1) + popcount (b lsr 1)
+
+(* The gates of one word run as one kernel: for every high part [h],
+   the loop walks the word's addresses in order.  Distinct addresses
+   touch disjoint amplitudes, and a swap or a negation is exact, so the
+   result is that of one kernel per address, bit for bit. *)
+let apply_xor_on_addresses s ~width ~address ~bits ?require ~target () =
+  check_address_args s ~width ~address ~bits;
   check_above s ~width "target" target;
   (match require with Some r -> check_above s ~width "require" r | None -> ());
-  Obs.Scope.incr "quantum.gates";
-  Obs.Trace.with_span "state.xor_on_address" @@ fun () ->
-  let a = s.a in
-  let tbit = 1 lsl target in
-  let rbit = match require with Some r -> 1 lsl r | None -> 0 in
-  let highs = dim s lsr width in
-  kernel s highs (fun lo hi ->
-      for h = lo to hi - 1 do
-        let idx = (h lsl width) lor address in
-        if idx land tbit = 0 && idx land rbit = rbit then begin
-          let ii = 2 * idx in
-          let jj = ii + (2 * tbit) in
-          let tr = A.unsafe_get a ii and ti = A.unsafe_get a (ii + 1) in
-          A.unsafe_set a ii (A.unsafe_get a jj);
-          A.unsafe_set a (ii + 1) (A.unsafe_get a (jj + 1));
-          A.unsafe_set a jj tr;
-          A.unsafe_set a (jj + 1) ti
-        end
-      done)
+  if bits <> 0 then begin
+    Obs.Scope.add "quantum.gates" (popcount bits);
+    Obs.Trace.with_span "state.xor_on_address" @@ fun () ->
+    let a = s.a in
+    let tbit = 1 lsl target in
+    let rbit = match require with Some r -> 1 lsl r | None -> 0 in
+    let highs = dim s lsr width in
+    kernel s highs (fun lo hi ->
+        for h = lo to hi - 1 do
+          let w = ref bits and addr = ref address in
+          while !w <> 0 do
+            let idx = (h lsl width) lor !addr in
+            if !w land 1 = 1 && idx land tbit = 0 && idx land rbit = rbit then begin
+              let ii = 2 * idx in
+              let jj = ii + (2 * tbit) in
+              let tr = A.unsafe_get a ii and ti = A.unsafe_get a (ii + 1) in
+              A.unsafe_set a ii (A.unsafe_get a jj);
+              A.unsafe_set a (ii + 1) (A.unsafe_get a (jj + 1));
+              A.unsafe_set a jj tr;
+              A.unsafe_set a (jj + 1) ti
+            end;
+            w := !w lsr 1;
+            incr addr
+          done
+        done)
+  end
 
-let apply_phase_on_address s ~width ~address ?require () =
-  check_address_args s ~width ~address;
+let apply_phase_on_addresses s ~width ~address ~bits ?require () =
+  check_address_args s ~width ~address ~bits;
   (match require with Some r -> check_above s ~width "require" r | None -> ());
-  Obs.Scope.incr "quantum.gates";
-  Obs.Trace.with_span "state.phase_on_address" @@ fun () ->
-  let a = s.a in
-  let rbit = match require with Some r -> 1 lsl r | None -> 0 in
-  let highs = dim s lsr width in
-  kernel s highs (fun lo hi ->
-      for h = lo to hi - 1 do
-        let idx = (h lsl width) lor address in
-        if idx land rbit = rbit then begin
-          A.unsafe_set a (2 * idx) (-.A.unsafe_get a (2 * idx));
-          A.unsafe_set a ((2 * idx) + 1) (-.A.unsafe_get a ((2 * idx) + 1))
-        end
-      done)
+  if bits <> 0 then begin
+    Obs.Scope.add "quantum.gates" (popcount bits);
+    Obs.Trace.with_span "state.phase_on_address" @@ fun () ->
+    let a = s.a in
+    let rbit = match require with Some r -> 1 lsl r | None -> 0 in
+    let highs = dim s lsr width in
+    kernel s highs (fun lo hi ->
+        for h = lo to hi - 1 do
+          let w = ref bits and addr = ref address in
+          while !w <> 0 do
+            let idx = (h lsl width) lor !addr in
+            if !w land 1 = 1 && idx land rbit = rbit then begin
+              A.unsafe_set a (2 * idx) (-.A.unsafe_get a (2 * idx));
+              A.unsafe_set a ((2 * idx) + 1) (-.A.unsafe_get a ((2 * idx) + 1))
+            end;
+            w := !w lsr 1;
+            incr addr
+          done
+        done)
+  end
 
 (* --------------------------------------------------------- measurement *)
 

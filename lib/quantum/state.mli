@@ -114,21 +114,25 @@ val apply_hadamard_block : t -> int -> int -> unit
 (** [apply_hadamard_block s lo count] applies H to qubits
     [lo .. lo+count-1] (the paper's [U_k = H^{2k}] on the address register). *)
 
-val apply_xor_on_address :
-  t -> width:int -> address:int -> ?require:int -> target:int -> unit -> unit
-(** [apply_xor_on_address s ~width ~address ?require ~target] flips qubit
-    [target] on exactly the basis states whose low [width] bits equal
-    [address] (and whose qubit [require] is 1, if given).  Touches
-    O(dim / 2^width) amplitudes — the O(1)-per-input-bit fast path that
-    lets procedure A3 apply V_x and R_y while streaming, without ever
-    holding x or y.  [target] (and [require]) must lie at or above
-    [width]. *)
+val apply_xor_on_addresses :
+  t -> width:int -> address:int -> bits:int -> ?require:int -> target:int -> unit -> unit
+(** [apply_xor_on_addresses s ~width ~address ~bits ?require ~target ()]
+    flips qubit [target] on exactly the basis states whose low [width]
+    bits equal [address + i] for a set bit [i] of [bits] (and whose
+    qubit [require] is 1, if given).  Touches O(popcount bits * dim /
+    2^width) amplitudes — the O(1)-per-input-bit fast path that lets
+    procedure A3 apply V_x and R_y while streaming, a word of input bits
+    per call, without ever holding x or y.  The result is that of one
+    call per set bit ([~bits:1] is the one-address gate), and each
+    counts once in [quantum.gates].  [target] (and [require]) must lie
+    at or above [width]; every address must fit in [width] bits. *)
 
-val apply_phase_on_address : t -> width:int -> address:int -> ?require:int -> unit -> unit
+val apply_phase_on_addresses :
+  t -> width:int -> address:int -> bits:int -> ?require:int -> unit -> unit
 (** Same enumeration, multiplying the matching amplitudes by -1 (the
     per-bit form of W_y).  With no [require] qubit, [width = nqubits s]
-    is legal and flips the phase of the single basis state [address] —
-    the full-register oracle shape. *)
+    is legal and [~bits:1] flips the phase of the single basis state
+    [address] — the full-register oracle shape. *)
 
 (** {1 Measurement} *)
 

@@ -72,14 +72,31 @@ type tally = {
 }
 
 (* The scraped metrics payload is validated beyond the envelope: it
-   must be the oqsc-metrics v1 document, or the replay fails — the same
-   strictness the stats/mix replies get from the protocol decoder. *)
+   must be the oqsc-metrics v1 document, down to each metric's exact
+   key set (docs/SCHEMA.md), or the replay fails — the same strictness
+   the stats/mix replies get from the protocol decoder. *)
 let check_metrics_doc payload =
   let open Json.Decode in
+  let bucket o =
+    ignore (req o "count" int);
+    ignore (req o "le" (nullable number));
+    close o
+  in
+  let metric o =
+    ignore (req o "name" str);
+    (match req o "type" str with
+    | "counter" | "gauge" -> ignore (req o "value" int)
+    | "histogram" ->
+        ignore (req o "count" int);
+        ignore (req o "sum" number);
+        ignore (req o "buckets" (list (obj bucket)))
+    | other -> fail (Key (o.at, "type")) "unknown metric type %S" other);
+    close o
+  in
   let document o =
     let kind = req o "kind" str in
     let version = req o "version" int in
-    ignore (req o "metrics" (list any));
+    ignore (req o "metrics" (list (obj metric)));
     close o;
     if kind <> "oqsc-metrics" || version <> 1 then
       fail o.at "not an oqsc-metrics v1 document"

@@ -45,6 +45,13 @@ type report = {
           accounting gates read *)
 }
 
+val check_metrics_doc : Experiments.Json.t -> (unit, string) result
+(** [Ok ()] iff the value is an [oqsc-metrics] v1 document whose every
+    metric has exactly its type's keys: [name], [type] and [value] for
+    a counter or gauge; [name], [type], [count], [sum] and [buckets]
+    for a histogram, each bucket being exactly [{count, le}].  An
+    [Error] names the offending path. *)
+
 val load_mix : string -> (string list, string) result
 (** Read a mix file into its non-blank lines.  [Error] on I/O failure
     or an empty mix. *)

@@ -68,11 +68,22 @@ let test_controlled_guards () =
 let test_address_fastpath_guards () =
   let s = Quantum.State.create 4 in
   check "target below width rejected" true
-    (match Quantum.State.apply_xor_on_address s ~width:3 ~address:0 ~target:1 () with
+    (match
+       Quantum.State.apply_xor_on_addresses s ~width:3 ~address:0 ~bits:1 ~target:1 ()
+     with
     | exception Invalid_argument _ -> true
     | _ -> false);
   check "address out of range" true
-    (match Quantum.State.apply_xor_on_address s ~width:2 ~address:4 ~target:3 () with
+    (match
+       Quantum.State.apply_xor_on_addresses s ~width:2 ~address:4 ~bits:1 ~target:3 ()
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  check "word past the width" true
+    (match
+       Quantum.State.apply_xor_on_addresses s ~width:2 ~address:2 ~bits:0b101
+         ~target:3 ()
+     with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

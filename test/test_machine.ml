@@ -214,11 +214,54 @@ let stream_qcheck_tests =
     observe_stream ~prefix ~use_fold (Stream.of_string str)
     = observe_stream ~prefix ~use_fold (stream_by_fn str)
   in
+  (* Drains a stream the way A1.drive does: a run of bits, up to the
+     next of [maxes], while there is one, else one symbol through
+     [next].  Returns the symbols read, the error that ended the run (or
+     "eof") and the final position. *)
+  let drain_by_bits maxes s =
+    let out = Buffer.create 16 in
+    let rec go maxes =
+      let max, rest = match maxes with m :: rest -> (m, rest) | [] -> (62, []) in
+      let bits, len = Stream.next_bits s max in
+      if len > Int.max 0 (Int.min max Stream.max_bits) || bits lsr len <> 0 then
+        Alcotest.failf "next_bits %d returned (%d, %d)" max bits len;
+      for i = 0 to len - 1 do
+        Buffer.add_char out (if (bits lsr i) land 1 = 1 then '1' else '0')
+      done;
+      if len > 0 then go rest
+      else
+        match Stream.next s with
+        | Some c ->
+            Buffer.add_char out (Symbol.to_char c);
+            go rest
+        | None -> ()
+    in
+    let ending = try go maxes; "eof" with Invalid_argument m -> m in
+    (Buffer.contents out, ending, Stream.pos s)
+  in
+  let by_symbol s =
+    let out = Buffer.create 16 in
+    let ending =
+      try Stream.iter (fun c -> Buffer.add_char out (Symbol.to_char c)) s; "eof"
+      with Invalid_argument m -> m
+    in
+    (Buffer.contents out, ending, Stream.pos s)
+  in
+  let bits_case =
+    pair
+      (string_gen_of_size Gen.(0 -- 150) (Gen.oneofl [ '0'; '1'; '1'; '0'; '#'; 'x' ]))
+      (list_of_size Gen.(0 -- 8) (int_range (-1) 70))
+  in
   [
     Test.make ~name:"stream of_string = of_fn on {0,1,#}" ~count:300
       (case [ '0'; '1'; '#' ]) agree;
     Test.make ~name:"stream of_string = of_fn on a bad character" ~count:300
       (case [ '0'; '1'; '#'; 'x' ]) agree;
+    Test.make ~name:"stream next_bits = next, on of_string and of_fn" ~count:300
+      bits_case (fun (str, maxes) ->
+        let reference = by_symbol (Stream.of_string str) in
+        drain_by_bits maxes (Stream.of_string str) = reference
+        && drain_by_bits maxes (stream_by_fn str) = reference);
   ]
 
 let test_stream_bad_char_position () =
@@ -232,6 +275,54 @@ let test_stream_bad_char_position () =
   Alcotest.check_raises "next raises again"
     (Invalid_argument "Symbol.of_char: x not in {0,1,#}") (fun () ->
       ignore (Stream.next s))
+
+let test_stream_next_bits () =
+  let s = Stream.of_string "0110#1x" in
+  check "the whole run" true (Stream.next_bits s 62 = (0b0110, 4));
+  check_int "pos after the run" 4 (Stream.pos s);
+  check "stops before '#'" true (Stream.next_bits s 62 = (0, 0));
+  check "'#' is next" true (Stream.next s = Some Symbol.Hash);
+  check "max 0 reads nothing" true (Stream.next_bits s 0 = (0, 0));
+  check "stops before a bad character" true (Stream.next_bits s 62 = (1, 1));
+  check_int "pos at the bad character" 6 (Stream.pos s);
+  let long = Stream.of_string (String.make 100 '1') in
+  check "at most max_bits" true (Stream.next_bits long 100 = (max_int, 62));
+  check "at most max" true (Stream.next_bits long 3 = (0b111, 3));
+  (* A generator is asked once per position, in order, even when
+     [next_bits] looks ahead at a '#'. *)
+  let asked = ref [] in
+  let g =
+    Stream.of_fn (fun i ->
+        asked := i :: !asked;
+        if i < 3 then Some (Symbol.of_char "1#0".[i]) else None)
+  in
+  check "one bit" true (Stream.next_bits g 62 = (1, 1));
+  check "then none" true (Stream.next_bits g 62 = (0, 0));
+  check "the looked-at '#'" true (Stream.next g = Some Symbol.Hash);
+  check "last bit" true (Stream.next_bits g 62 = (0, 1));
+  check "end" true (Stream.next_bits g 62 = (0, 0) && Stream.next g = None);
+  check "each position asked once" true (List.rev !asked = [ 0; 1; 2; 3 ])
+
+let test_bitstore_words () =
+  let ws = Workspace.create () in
+  let s = Bitstore.alloc ws ~name:"s" ~bits:130 in
+  (* A run across the register boundary at 62, and one ending at the
+     last bit; bits outside a run are left alone. *)
+  Bitstore.write s 60 ~len:5 0b10111;
+  Bitstore.write s 125 ~len:5 (-1);
+  check_int "read back" 0b10111 (Bitstore.read s 60 ~len:5);
+  check_int "read the tail" 0b11111 (Bitstore.read s 125 ~len:5);
+  check "bit 62 via get" true (Bitstore.get s 62);
+  check "bit 63 via get" false (Bitstore.get s 63);
+  check_int "wider read" (0b10111 lsl 2) (Bitstore.read s 58 ~len:62);
+  Bitstore.write s 61 ~len:2 0;
+  check_int "partial overwrite" 0b10001 (Bitstore.read s 60 ~len:5);
+  List.iter
+    (fun (i, len) ->
+      Alcotest.check_raises (Printf.sprintf "read %d ~len:%d" i len)
+        (Invalid_argument "Bitstore: index out of bounds") (fun () ->
+          ignore (Bitstore.read s i ~len)))
+    [ (126, 5); (-1, 2); (0, 0); (0, 63) ]
 
 let test_symbol_conversions () =
   Alcotest.(check char) "one" '1' (Symbol.to_char (Symbol.of_char '1'));
@@ -395,3 +486,7 @@ let suite =
     ("census accumulator", `Quick, test_census_accumulator);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) stream_qcheck_tests
+  @ [
+      ("stream next_bits", `Quick, test_stream_next_bits);
+      ("bitstore words", `Quick, test_bitstore_words);
+    ]

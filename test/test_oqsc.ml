@@ -29,8 +29,8 @@ let test_a1_roles_sequence_k1 () =
   let roles = feed_string a1 "1#01" in
   match roles with
   | [ Oqsc.A1.Prefix_one; Oqsc.A1.Prefix_sep;
-      Oqsc.A1.Block_bit { rep = 0; seg = Oqsc.A1.X; idx = 0; bit = false };
-      Oqsc.A1.Block_bit { rep = 0; seg = Oqsc.A1.X; idx = 1; bit = true } ] ->
+      Oqsc.A1.Block_bits { rep = 0; seg = Oqsc.A1.X; idx = 0; bits = 0; len = 1 };
+      Oqsc.A1.Block_bits { rep = 0; seg = Oqsc.A1.X; idx = 1; bits = 1; len = 1 } ] ->
       ()
   | _ -> Alcotest.fail "unexpected role sequence"
 
@@ -125,8 +125,9 @@ let test_a1_drive () =
   check "one start, with A1's k" true (starts = [ 2 ] && Oqsc.A1.k a1 = Some 2);
   (match roles with
   | Some (Oqsc.A1.Prefix_sep :: rest) ->
-      check_int "every role after the separator" (String.length input - 3)
-        (List.length rest)
+      let symbols = function Oqsc.A1.Block_bits { len; _ } -> len | _ -> 1 in
+      check_int "every symbol after the separator" (String.length input - 3)
+        (List.fold_left (fun n role -> n + symbols role) 0 rest)
   | _ -> Alcotest.fail "the first observed role is not Prefix_sep");
   List.iter
     (fun (what, max_k, input) ->
@@ -138,6 +139,188 @@ let test_a1_drive () =
       ("16 ones", None, String.make 16 '1' ^ "#0");
       ("k > max_k", Some 1, input);
     ]
+
+(* ------------------------------------------- drive = feed, word by word *)
+
+(* The symbol-by-symbol reference for [A1.drive]: every symbol through
+   [A1.feed], with [drive]'s start and observe rules. *)
+let drive_by_feed ws ~max_k start observe stream =
+  let a1 = Oqsc.A1.create ws in
+  let procs = ref None in
+  Machine.Stream.iter
+    (fun sym ->
+      match (Oqsc.A1.feed a1 sym, !procs) with
+      | (Oqsc.A1.Prefix_sep as role), _ ->
+          let k = Option.get (Oqsc.A1.k a1) in
+          if k <= max_k then begin
+            let p = start k in
+            procs := Some p;
+            observe p role
+          end
+      | role, Some p -> observe p role
+      | _, None -> ())
+    stream;
+  (a1, !procs)
+
+(* A word role as the one-bit roles [feed] gives for its symbols. *)
+let expand = function
+  | Oqsc.A1.Block_bits { rep; seg; idx; bits; len } ->
+      List.init len (fun i ->
+          Oqsc.A1.Block_bits
+            { rep; seg; idx = idx + i; bits = (bits lsr i) land 1; len = 1 })
+  | role -> [ role ]
+
+(* The cut rule: a word is 1..62 bits and crosses neither the block
+   end nor an index that is a multiple of 62. *)
+let word_ok ~k = function
+  | Oqsc.A1.Block_bits { idx; len; bits; _ } ->
+      len >= 1
+      && (idx mod 62) + len <= 62
+      && idx + len <= 1 lsl (2 * k)
+      && bits lsr len = 0
+  | _ -> true
+
+type pipeline = {
+  roles : Oqsc.A1.role list;  (* expanded *)
+  words_ok : bool;
+  a1 : (bool * bool * int option) option;  (* None after an input error *)
+  error : string option;
+  pos : int;
+  snapshot : string;
+  a2 : bool option;
+  a3 : int64 option;
+}
+
+(* A1 + A2 + A3 over one input, by [drive] or by [feed]; A3 runs for
+   k <= 3 so the inputs stay small. *)
+let pipeline ~by_word ~use_fn input =
+  let ws = Machine.Workspace.create () in
+  let rng = Rng.create 97 in
+  let roles = ref [] and ks = ref [] and procs = ref None in
+  let start k =
+    ks := k :: !ks;
+    let a2 = Oqsc.A2.create ws rng ~k in
+    let a3 = if k <= 3 then Some (Oqsc.A3.create ws rng ~k) else None in
+    procs := Some (a2, a3);
+    (a2, a3)
+  in
+  let observe (a2, a3) role =
+    roles := role :: !roles;
+    Oqsc.A2.observe a2 role;
+    Option.iter (fun a3 -> Oqsc.A3.observe a3 role) a3
+  in
+  let n = String.length input in
+  let stream =
+    if use_fn then
+      Machine.Stream.of_fn (fun i ->
+          if i < n then Some (Machine.Symbol.of_char input.[i]) else None)
+    else Machine.Stream.of_string input
+  in
+  let max_k = 4 in
+  let a1, error =
+    match
+      if by_word then Oqsc.A1.drive ws ~max_k start observe stream
+      else drive_by_feed ws ~max_k start observe stream
+    with
+    | a1, _ -> (Some (Oqsc.A1.finished_ok a1, Oqsc.A1.failed a1, Oqsc.A1.k a1), None)
+    | exception Invalid_argument m -> (None, Some m)
+  in
+  let roles = List.rev !roles in
+  {
+    roles = List.concat_map expand roles;
+    words_ok =
+      (match !ks with [ k ] -> List.for_all (word_ok ~k) roles | _ -> roles = []);
+    a1;
+    error;
+    pos = Machine.Stream.pos stream;
+    snapshot = Machine.Workspace.snapshot ws;
+    a2 = Option.map (fun (a2, _) -> Oqsc.A2.verdict a2) !procs;
+    a3 =
+      Option.bind !procs (fun (_, a3) ->
+          Option.map (fun a3 -> Int64.bits_of_float (Oqsc.A3.prob_output_zero a3)) a3);
+  }
+
+(* Inputs of every kind the pass must treat alike: members,
+   intersecting pairs, corrupted repetitions, the malformed catalogue,
+   random {0,1,#} strings with and without a valid prefix, and members
+   with a character outside the alphabet. *)
+let drive_input ~seed ~kind =
+  let rng = Rng.create seed in
+  let k = 1 + Rng.int rng 4 in
+  let member () =
+    (Lang.Instance.disjoint_pair (Rng.split rng) ~k).Lang.Instance.input
+  in
+  let random_string len =
+    String.init len (fun _ -> "0101#".[Rng.int rng 5])
+  in
+  match kind with
+  | 0 -> member ()
+  | 1 ->
+      let t = 1 + Rng.int rng (1 lsl (2 * k)) in
+      (Lang.Instance.intersecting_pair (Rng.split rng) ~k ~t).Lang.Instance.input
+  | 2 ->
+      let base = Lang.Instance.disjoint_pair (Rng.split rng) ~k in
+      (Lang.Instance.corrupt_repetition (Rng.split rng) ~base).Lang.Instance.input
+  | 3 -> (Lang.Instance.malformed (Rng.split rng) ~k).Lang.Instance.input
+  | 4 -> String.make k '1' ^ "#" ^ random_string (Rng.int rng (4 lsl (2 * k)))
+  | 5 -> random_string (Rng.int rng 40)
+  | _ ->
+      let b = Bytes.of_string (member ()) in
+      Bytes.set b (Rng.int rng (Bytes.length b)) "x2 ".[Rng.int rng 3];
+      Bytes.to_string b
+
+(* A2's word step against the per-bit chain it replaces. *)
+let chained_step ~prime ~point ~pow ~acc ~bits ~len =
+  let pow = ref pow and acc = ref acc in
+  for i = 0 to len - 1 do
+    if (bits lsr i) land 1 = 1 then acc := Modarith.addmod !acc !pow prime;
+    pow := Modarith.mulmod !pow point prime
+  done;
+  (!pow, !acc)
+
+let step_case =
+  let open QCheck.Gen in
+  int_range 1 8 >>= fun k ->
+  let prime = Primes.fingerprint_prime k in
+  let residue = int_bound (prime - 1) in
+  let* point = oneof [ return 0; return 1; return (prime - 1); residue ] in
+  let* pow = residue and* acc = residue and* len = int_range 1 62 in
+  let ones = (1 lsl len) - 1 in
+  let* bits = oneof [ return 0; return ones; map (fun b -> b land ones) int ] in
+  return (k, point, pow, acc, bits, len)
+
+let drive_qcheck_tests =
+  let open QCheck in
+  let case =
+    make
+      ~print:(fun (seed, kind, use_fn) ->
+        Printf.sprintf "seed %d kind %d of_fn %b" seed kind use_fn)
+      Gen.(triple (int_bound 1_000_000) (int_bound 6) bool)
+  in
+  [
+    Test.make ~name:"a2 word step = chained mulmod/addmod" ~count:500
+      (make
+         ~print:(fun (k, point, pow, acc, bits, len) ->
+           Printf.sprintf "k %d point %d pow %d acc %d bits %#x len %d" k point pow
+             acc bits len)
+         step_case)
+      (fun (k, point, pow, acc, bits, len) ->
+        (* Every prefix of the word: a step that leaves a value in
+           [p, 2p) can be absorbed by the next one, so only checking
+           the end would miss it. *)
+        let prime = Primes.fingerprint_prime k in
+        List.for_all
+          (fun len ->
+            Oqsc.A2.step_word ~prime ~point ~pow ~acc ~bits ~len
+            = chained_step ~prime ~point ~pow ~acc ~bits ~len)
+          (List.init len succ));
+    Test.make ~name:"a1 drive = feed, with A2 and A3" ~count:200 case
+      (fun (seed, kind, use_fn) ->
+        let input = drive_input ~seed ~kind in
+        let by_word = pipeline ~by_word:true ~use_fn input in
+        let by_symbol = pipeline ~by_word:false ~use_fn input in
+        by_word.words_ok && by_word = { by_symbol with words_ok = true });
+  ]
 
 let test_a1_agrees_with_offline_scanner () =
   let rng = Rng.create 67 in
@@ -683,3 +866,4 @@ let suite =
     ("sketch budget metered", `Quick, test_sketch_budget_metered);
     ("recognizers vs oracle", `Quick, test_all_recognizers_agree_with_oracle_when_exact);
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) drive_qcheck_tests

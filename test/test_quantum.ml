@@ -135,7 +135,7 @@ let test_phase_if_and_xor_if_vs_unitary () =
   check "xor_if = permutation unitary" true (State.approx_equal s2 expected2)
 
 let test_address_fast_paths_match_generic () =
-  (* apply_xor_on_address == apply_xor_if with an equality predicate. *)
+  (* apply_xor_on_addresses == apply_xor_if with an equality predicate. *)
   let n = 5 and width = 3 in
   let rng = Rng.create 21 in
   for address = 0 to 7 do
@@ -145,22 +145,37 @@ let test_address_fast_paths_match_generic () =
     State.apply_gate1 s (Gates.rz (Rng.float rng)) 2;
     State.apply_cnot s ~control:0 ~target:4;
     let generic = State.copy s in
-    State.apply_xor_on_address s ~width ~address ~target:3 ();
+    State.apply_xor_on_addresses s ~width ~address ~bits:1 ~target:3 ();
     State.apply_xor_if generic (fun idx -> idx land 7 = address) 3;
     check "xor fast path" true (State.approx_equal s generic);
     (* Phase with a requirement bit. *)
     let s2 = State.copy s and generic2 = State.copy s in
-    State.apply_phase_on_address s2 ~width ~address ~require:4 ();
+    State.apply_phase_on_addresses s2 ~width ~address ~bits:1 ~require:4 ();
     State.apply_phase_if generic2 (fun idx ->
         idx land 7 = address && idx land 16 <> 0);
     check "phase fast path" true (State.approx_equal s2 generic2);
     (* Xor with a requirement bit. *)
     let s3 = State.copy s and generic3 = State.copy s in
-    State.apply_xor_on_address s3 ~width ~address ~require:4 ~target:3 ();
+    State.apply_xor_on_addresses s3 ~width ~address ~bits:1 ~require:4 ~target:3 ();
     State.apply_xor_if generic3
       (fun idx -> idx land 7 = address && idx land 16 <> 0)
       3;
-    check "xor+require fast path" true (State.approx_equal s3 generic3)
+    check "xor+require fast path" true (State.approx_equal s3 generic3);
+    (* A word of addresses: every set bit i of [bits] names
+       [address + i], as far as the width allows. *)
+    let bits = 0b1101 land ((1 lsl (8 - address)) - 1) in
+    let in_word idx =
+      let a = idx land 7 in
+      a >= address && (bits lsr (a - address)) land 1 = 1 && idx land 16 <> 0
+    in
+    let s4 = State.copy s and generic4 = State.copy s in
+    State.apply_xor_on_addresses s4 ~width ~address ~bits ~require:4 ~target:3 ();
+    State.apply_xor_if generic4 in_word 3;
+    check "xor word fast path" true (State.approx_equal s4 generic4);
+    let s5 = State.copy s and generic5 = State.copy s in
+    State.apply_phase_on_addresses s5 ~width ~address ~bits ~require:4 ();
+    State.apply_phase_if generic5 in_word;
+    check "phase word fast path" true (State.approx_equal s5 generic5)
   done
 
 let test_fidelity () =
@@ -234,17 +249,19 @@ let test_full_width_phase_oracle () =
   let s = State.create n in
   State.apply_hadamard_block s 0 n;
   let reference = State.copy s in
-  State.apply_phase_on_address s ~width:n ~address:9 ();
+  State.apply_phase_on_addresses s ~width:n ~address:9 ~bits:1 ();
   State.apply_phase_if reference (fun idx -> idx = 9);
   check "flips exactly |address>" true (State.approx_equal s reference);
   (* A require qubit (or xor target) still cannot fit above a
      full-width address. *)
   check "full width + require rejected" true
-    (match State.apply_phase_on_address s ~width:n ~address:0 ~require:3 () with
+    (match
+       State.apply_phase_on_addresses s ~width:n ~address:0 ~bits:1 ~require:3 ()
+     with
     | exception Invalid_argument _ -> true
     | _ -> false);
   check "full width xor rejected" true
-    (match State.apply_xor_on_address s ~width:n ~address:0 ~target:3 () with
+    (match State.apply_xor_on_addresses s ~width:n ~address:0 ~bits:1 ~target:3 () with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -276,8 +293,8 @@ let test_backend_paths_bit_identical () =
         State.apply_cnot s ~control:14 ~target:0;
         State.apply_phase_if s (fun idx -> idx land 5 = 5);
         State.apply_xor_if s (fun idx -> idx land 3 = 1) 7;
-        State.apply_xor_on_address s ~width:4 ~address:11 ~target:8 ();
-        State.apply_phase_on_address s ~width:4 ~address:7 ~require:6 ();
+        State.apply_xor_on_addresses s ~width:4 ~address:11 ~bits:1 ~target:8 ();
+        State.apply_phase_on_addresses s ~width:4 ~address:7 ~bits:1 ~require:6 ();
         let n1 = State.norm s in
         let p1 = State.prob_qubit_one s 5 in
         let m = State.measure_qubit s (Rng.create 7) 9 in

@@ -467,6 +467,84 @@ let metric_value payload name =
       | _ -> None)
   | _ -> None
 
+let test_metrics_doc_exact_keys () =
+  let registry = Obs.Metrics.create_registry () in
+  Obs.Metrics.counter_add ~registry "c" 3;
+  Obs.Metrics.gauge_set ~registry "g" 2;
+  Obs.Metrics.observe ~registry "h" 0.5;
+  Obs.Metrics.observe ~registry "h" 1e9;
+  let real = Experiments.Metrics_doc.document (Obs.Metrics.snapshot ~registry ()) in
+  check "the emitted document passes" true
+    (Serve.Bench_serve.check_metrics_doc real = Ok ());
+  let doc metrics =
+    Json.Obj
+      [
+        ("kind", Json.Str "oqsc-metrics");
+        ("version", Json.Int 1);
+        ("metrics", Json.List metrics);
+      ]
+  in
+  let counter extra =
+    Json.Obj
+      ([ ("name", Json.Str "c"); ("type", Json.Str "counter"); ("value", Json.Int 1) ]
+      @ extra)
+  in
+  let histogram bucket =
+    Json.Obj
+      [
+        ("name", Json.Str "h");
+        ("type", Json.Str "histogram");
+        ("count", Json.Int 1);
+        ("sum", Json.Float 0.5);
+        ("buckets", Json.List [ Json.Obj bucket ]);
+      ]
+  in
+  let bucket = [ ("count", Json.Int 1); ("le", Json.Float 1.0) ] in
+  check "hand-built document passes" true
+    (Serve.Bench_serve.check_metrics_doc (doc [ counter []; histogram bucket ])
+    = Ok ());
+  let contains hay needle =
+    let n = String.length needle in
+    let rec at i =
+      i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun (what, metrics, path, key) ->
+      match Serve.Bench_serve.check_metrics_doc (doc metrics) with
+      | Ok () -> Alcotest.failf "%s accepted" what
+      | Error msg ->
+          check (what ^ " names its path: " ^ msg) true
+            (contains msg (path ^ ": ") && contains msg key))
+    [
+      ( "an extra key",
+        [ counter [ ("extra", Json.Int 0) ] ],
+        "metrics[0]",
+        "\"extra\"" );
+      ( "a counter carrying buckets",
+        [ histogram bucket; counter [ ("buckets", Json.List []) ] ],
+        "metrics[1]",
+        "\"buckets\"" );
+      ( "a bucket with an extra key",
+        [ histogram (bucket @ [ ("sum", Json.Int 0) ]) ],
+        "metrics[0].buckets[0]",
+        "\"sum\"" );
+      ( "a histogram without sum",
+        [
+          counter [];
+          Json.Obj
+            [
+              ("name", Json.Str "h");
+              ("type", Json.Str "histogram");
+              ("count", Json.Int 0);
+              ("buckets", Json.List []);
+            ];
+        ],
+        "metrics[1].sum",
+        "missing" );
+    ]
+
 let test_metrics_barrier_and_accounting () =
   (* A fresh registry per test: the metrics op is a barrier (flushes
      the queued run first), its payload is the oqsc-metrics document,
@@ -1293,4 +1371,5 @@ let suite =
       ("cache: identical requests in one batch computed once", `Quick, test_cache_collapses_batch);
       ("cache: bounded; FIFO eviction recomputes", `Quick, test_cache_bounded);
       ("cache: traced replay with hits passes trace-lint", `Quick, test_cache_hits_trace_lints);
+      ("metrics doc: exact key sets per entry", `Quick, test_metrics_doc_exact_keys);
     ]
