@@ -64,23 +64,26 @@ let gen_cmd =
   let seed = Arg.(value & opt int 2006 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
   let action k kind t seed =
     let rng = Rng.create seed in
-    let inst =
+    match
       match kind with
       | `Member -> Lang.Instance.disjoint_pair rng ~k
       | `Intersect -> Lang.Instance.intersecting_pair rng ~k ~t
       | `Corrupt ->
           Lang.Instance.corrupt_repetition rng ~base:(Lang.Instance.disjoint_pair rng ~k)
       | `Malformed -> Lang.Instance.malformed rng ~k
-    in
-    print_string inst.Lang.Instance.input;
-    print_newline ();
-    Printf.eprintf "k=%d length=%d member=%b\n" k
-      (String.length inst.Lang.Instance.input)
-      (Lang.Instance.is_member inst)
+    with
+    | exception Invalid_argument msg -> `Error (false, "gen: " ^ msg)
+    | inst ->
+        print_string inst.Lang.Instance.input;
+        print_newline ();
+        Printf.eprintf "k=%d length=%d member=%b\n" k
+          (String.length inst.Lang.Instance.input)
+          (Lang.Instance.is_member inst);
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate an L_DISJ instance on stdout (ground truth on stderr).")
-    Term.(const action $ k $ kind $ t $ seed)
+    Term.(ret (const action $ k $ kind $ t $ seed))
 
 (* ------------------------------------------------------------------ run *)
 
@@ -99,9 +102,7 @@ let run_cmd =
     Arg.(value & opt int 16 & info [ "budget" ] ~docv:"BITS" ~doc:"Sketch budget in bits.")
   in
   let seed = Arg.(value & opt int 2006 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let action algo input budget seed =
-    let w = read_input input in
-    let rng = Rng.create seed in
+  let report algo w budget rng =
     (match algo with
     | `Quantum ->
         let r = Oqsc.Recognizer.run ~rng w in
@@ -134,9 +135,15 @@ let run_cmd =
     Printf.printf "ground truth: %s\n"
       (if Lang.Ldisj.member w then "in L_DISJ" else "not in L_DISJ")
   in
+  let action algo input budget seed =
+    let w = read_input input in
+    match report algo w budget (Rng.create seed) with
+    | exception Invalid_argument msg -> `Error (false, "run: " ^ msg)
+    | () -> `Ok ()
+  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a recognizer on an input string.")
-    Term.(const action $ algo $ input $ budget $ seed)
+    Term.(ret (const action $ algo $ input $ budget $ seed))
 
 (* -------------------------------------------------------------- run-all *)
 

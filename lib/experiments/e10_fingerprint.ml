@@ -103,5 +103,3 @@ let body ?quick ~seed () =
       ];
     metrics = [];
   }
-
-let print ?quick ~seed fmt = Report.render_body fmt (body ?quick ~seed ())

@@ -62,5 +62,3 @@ let body ?quick ~seed () =
     notes = [ "QFA states track O(log p); the DFA column is p itself" ];
     metrics = [];
   }
-
-let print ?quick ~seed fmt = Report.render_body fmt (body ?quick ~seed ())

@@ -18,8 +18,7 @@ type row = {
 }
 
 val rows : ?quick:bool -> seed:int -> unit -> row list
-val print : ?quick:bool -> seed:int -> Format.formatter -> unit
 
 val body : ?quick:bool -> seed:int -> unit -> Report.body
-(** Structured result (tables, notes, metrics) that [print] renders and
-    the JSON emitter serializes. *)
+(** Structured result (tables, notes, metrics) that
+    [Report.render_body] renders and the JSON emitter serializes. *)

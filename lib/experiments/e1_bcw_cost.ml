@@ -95,5 +95,3 @@ let body ?quick ~seed () =
       ];
     metrics = [ ("cost_slope_vs_m", s) ];
   }
-
-let print ?quick ~seed fmt = Report.render_body fmt (body ?quick ~seed ())

@@ -22,8 +22,6 @@ val rows : ?quick:bool -> seed:int -> unit -> row list
 val slope : row list -> float
 (** Fitted exponent of measured disjoint-instance cost vs m. *)
 
-val print : ?quick:bool -> seed:int -> Format.formatter -> unit
-
 val body : ?quick:bool -> seed:int -> unit -> Report.body
-(** Structured result (tables, notes, metrics) that [print] renders and
-    the JSON emitter serializes. *)
+(** Structured result (tables, notes, metrics) that
+    [Report.render_body] renders and the JSON emitter serializes. *)

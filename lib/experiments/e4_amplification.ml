@@ -63,5 +63,3 @@ let body ?quick ~seed () =
     notes = [];
     metrics = [];
   }
-
-let print ?quick ~seed fmt = Report.render_body fmt (body ?quick ~seed ())

@@ -199,5 +199,3 @@ let body ?quick () =
       ];
     metrics = [];
   }
-
-let print ?quick fmt = Report.render_body fmt (body ?quick ())

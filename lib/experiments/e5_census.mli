@@ -20,8 +20,7 @@ type row = {
 }
 
 val rows : ?quick:bool -> unit -> row list
-val print : ?quick:bool -> Format.formatter -> unit
 
 val body : ?quick:bool -> unit -> Report.body
-(** Structured result (tables, notes, metrics) that [print] renders and
-    the JSON emitter serializes. *)
+(** Structured result (tables, notes, metrics) that
+    [Report.render_body] renders and the JSON emitter serializes. *)

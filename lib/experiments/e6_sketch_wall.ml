@@ -96,5 +96,3 @@ let body ?quick ~seed () =
       [ "errors fall only once the budget clears the 2^k threshold the lower bound predicts" ];
     metrics = [];
   }
-
-let print ?quick ~seed fmt = Report.render_body fmt (body ?quick ~seed ())

@@ -81,5 +81,3 @@ let body ?quick ~seed () =
       ];
     metrics = [ ("storage_slope", storage); ("total_slope_upper_half", total) ];
   }
-
-let print ?quick ~seed fmt = Report.render_body fmt (body ?quick ~seed ())

@@ -24,8 +24,6 @@ val slope : row list -> float
 val storage_slope : row list -> float
 (** Slope of the storage term alone — 1/3 exactly. *)
 
-val print : ?quick:bool -> seed:int -> Format.formatter -> unit
-
 val body : ?quick:bool -> seed:int -> unit -> Report.body
-(** Structured result (tables, notes, metrics) that [print] renders and
-    the JSON emitter serializes. *)
+(** Structured result (tables, notes, metrics) that
+    [Report.render_body] renders and the JSON emitter serializes. *)

@@ -113,5 +113,3 @@ let body ?quick ~seed () =
         ("naive_exponent", f.naive_exponent);
       ];
   }
-
-let print ?quick ~seed fmt = Report.render_body fmt (body ?quick ~seed ())

@@ -295,6 +295,3 @@ let to_json ?(timing = false) ~seed ~quick a =
           ] );
     ]
     @ if timing then [ ("wall_ms", Json.Float (total_wall_ms a)) ] else [])
-
-let print ?quick ~seed fmt =
-  Report.render_body fmt (body (audit ?quick ~seed ()))

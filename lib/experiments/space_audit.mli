@@ -96,5 +96,3 @@ val shard_to_json :
     {!to_json} plus the gated [shard] provenance field, and no
     [fit]/[verdict] (recomputed by [oqsc merge] over the recombined
     rows — see docs/SCHEMA.md). *)
-
-val print : ?quick:bool -> seed:int -> Format.formatter -> unit

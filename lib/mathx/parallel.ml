@@ -74,77 +74,6 @@ let map_chunks ?domains ~chunks f ~rng =
        (function Some v -> v | None -> failwith "Parallel.map_chunks: missing result")
        results)
 
-(* ------------------------------------------------------- range kernels *)
-
-(* Deterministic chunking: the chunk boundaries are a pure function of
-   the range length (never of the domain count), so any chunk-local
-   computation combined in chunk order yields the same bits whether the
-   chunks run inline or across domains.  Two grains:
-
-   - [map_grain] for write-disjoint element maps, where any split is
-     bit-identical anyway, so we can afford fine chunks;
-   - [sum_grain] for reductions, where the split changes the
-     floating-point association; it is kept large enough that every
-     register the stock experiments sweep (well under 2^14 amplitudes)
-     reduces in a single chunk, i.e. in plain left-to-right order.
-     Both are fixed constants: no env variable or API touches them, so
-     reduced floats stay a pure function of the range length forever. *)
-let map_grain = 2048
-let sum_grain = 16384
-let max_chunks = 64
-
-let chunk_count ~grain n =
-  if n <= grain then 1 else min max_chunks ((n + grain - 1) / grain)
-
-let chunk_bounds n chunks i = (i * n / chunks, (i + 1) * n / chunks)
-
-(* [steal] with a [parallel.range_chunk] span per chunk, but only when
-   a trace session is live: the wrapping closure costs an allocation,
-   which the untraced hot path should not pay. *)
-let dispatch_chunks ~domains ~chunks run =
-  let run =
-    if Obs.Trace.enabled () then fun i ->
-      Obs.Trace.with_span
-        ~args:[ ("chunk", Obs.Trace.Int i) ]
-        "parallel.range_chunk"
-        (fun () -> run i)
-    else run
-  in
-  steal ~domains ~chunks run
-
-let iter_range n f =
-  if n < 0 then invalid_arg "Parallel.iter_range: negative length";
-  if n > 0 then begin
-    let chunks = chunk_count ~grain:map_grain n in
-    (* A single chunk runs inline, as in [sum_range]: the same bounds,
-       with no scheduling closure and no [parallel.range_chunk] span. *)
-    if chunks = 1 then f 0 n
-    else
-      dispatch_chunks ~domains:(recommended_domains ()) ~chunks (fun i ->
-          let lo, hi = chunk_bounds n chunks i in
-          f lo hi)
-  end
-
-let sum_range ?domains n f =
-  if n < 0 then invalid_arg "Parallel.sum_range: negative length";
-  if n = 0 then 0.0
-  else begin
-    let domains =
-      match domains with Some d -> max 1 d | None -> recommended_domains ()
-    in
-    let chunks = chunk_count ~grain:sum_grain n in
-    if chunks = 1 then f 0 n
-    else begin
-      let partials = Array.make chunks 0.0 in
-      dispatch_chunks ~domains ~chunks (fun i ->
-          let lo, hi = chunk_bounds n chunks i in
-          partials.(i) <- f lo hi);
-      (* Combine in chunk order: the total is a pure function of [n]
-         and [f], independent of [domains]. *)
-      Array.fold_left ( +. ) 0.0 partials
-    end
-  end
-
 let count_successes ?domains ~trials f ~rng =
   if trials < 0 then invalid_arg "Parallel.count_successes: negative trials";
   let hits =

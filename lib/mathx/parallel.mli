@@ -16,17 +16,18 @@
 
     Timeline tracing rides along without joining the contract: when an
     [Obs.Trace] session is live, every chunk brackets itself with a
-    timed span ([parallel.map_chunk] / [parallel.range_chunk], with the
-    chunk index as an argument) on whichever domain runs it, and each
-    spawned domain wraps its stealing loop in a [parallel.worker] span.
-    A range kernel whose range is a single chunk runs inline as one
-    plain call and records no [parallel.range_chunk] span.
+    timed span ([parallel.map_chunk], with the chunk index as an
+    argument) on whichever domain runs it, and each spawned domain wraps
+    its stealing loop in a [parallel.worker] span.
     Tracing reads clocks and is exempt from determinism; it never
     touches the chunk sinks, the PRNG streams, or the results. *)
 
 val recommended_domains : unit -> int
-(** [max 1 (cores - 1)], capped at 8 so nested parallel sections cannot
-    oversubscribe the machine. *)
+(** [max 1 (cores - 1)], capped at 8.  Sections nest one level deep —
+    an experiment fans its trials out from inside the registry's
+    experiment-level fan-out, as does a served miss — so with the cap
+    at most 8 × 8 = 64 domains are live at once on any host, within the
+    runtime's limit of 128. *)
 
 val map_chunks :
   ?domains:int -> chunks:int -> (chunk:int -> rng:Rng.t -> 'a) -> rng:Rng.t -> 'a list
@@ -43,30 +44,6 @@ val map_chunks :
       on the calling domain; omitting it uses [recommended_domains ()];
     - a single item also runs on the calling domain; otherwise workers
       steal one item at a time. *)
-
-(** {1 Range kernels}
-
-    Data-parallel loops over integer ranges, used by the state-vector
-    backend's amplitude kernels.  The range is cut into chunks whose
-    boundaries depend {e only} on the range length — never on [domains]
-    — so results are bit-identical however the chunks are scheduled.
-    The callbacks run on spawned domains: they must not touch the
-    ambient [Obs] sink (record on the calling domain before or after
-    the loop instead) and must only perform write-disjoint work. *)
-
-val iter_range : int -> (int -> int -> unit) -> unit
-(** [iter_range n f] covers [0, n) with calls [f lo hi] over half-open
-    chunks of about 2048 elements, possibly concurrently on
-    {!recommended_domains} domains.  [f]'s writes must be disjoint
-    across chunks.  Ranges of at most 2048 elements are one chunk,
-    i.e. exactly [f 0 n] on the calling domain.  [n = 0] is a no-op;
-    [n < 0] raises [Invalid_argument]. *)
-
-val sum_range : ?domains:int -> int -> (int -> int -> float) -> float
-(** [sum_range n f] sums [f lo hi] over the same deterministic chunk
-    decomposition, combining partials in chunk order — the float result
-    is a pure function of [n] and [f].  Ranges of at most 16384
-    elements reduce in a single chunk, i.e. exactly [f 0 n]. *)
 
 val count_successes :
   ?domains:int -> trials:int -> (Rng.t -> bool) -> rng:Rng.t -> int

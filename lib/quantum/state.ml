@@ -3,10 +3,13 @@ module A = Bigarray.Array1
 
 (* Flat register backend: one unboxed Float64 Bigarray in C layout,
    interleaved as [re0; im0; re1; im1; ...].  A single contiguous buffer
-   keeps the two components of an amplitude on the same cache line, is
-   safe to share across OCaml 5 domains (Bigarray data never moves), and
-   lets the hot kernels run branch-free over pair indices with unsafe
-   accesses.  Qubit 0 is the least significant bit of the basis index. *)
+   keeps the two components of an amplitude on the same cache line, lives
+   outside the OCaml heap (the GC never scans or moves it), and lets the
+   hot kernels run branch-free over pair indices with unsafe accesses.
+   Every kernel is one plain loop on the calling domain, and every
+   reduction sums left to right, so a result is a pure function of the
+   register and the gate sequence.  Qubit 0 is the least significant bit
+   of the basis index. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) A.t
 
@@ -14,52 +17,8 @@ type t = { n : int; a : buf }
 
 let max_qubits = 24
 
-(* ------------------------------------------------------- parallel gate *)
-
-(* Registers with at least [parallel_threshold] amplitudes run their
-   kernels through [Mathx.Parallel]'s range helpers (chunked, possibly
-   across domains); smaller ones run the plain sequential loop.  The two
-   paths are bit-identical by construction — gate kernels write disjoint
-   amplitudes, and reductions always use [Parallel.sum_range]'s fixed
-   chunking — so the threshold (and [OQSC_PAR_THRESHOLD]) affects
-   wall-clock time only, never results. *)
-
-let default_par_threshold = 1 lsl 14
-
-(* OQSC_PAR_THRESHOLD=0 forces the chunked path everywhere: the
-   determinism matrix's par0 leg. *)
-let par_threshold =
-  ref
-    (match Sys.getenv_opt "OQSC_PAR_THRESHOLD" with
-    | None -> default_par_threshold
-    | Some v -> (
-        match int_of_string_opt (String.trim v) with
-        | Some t when t >= 0 -> t
-        | _ -> default_par_threshold))
-
-let parallel_threshold () = !par_threshold
-let set_parallel_threshold d =
-  if d < 0 then invalid_arg "State.set_parallel_threshold: negative threshold";
-  par_threshold := d
-
 let nqubits s = s.n
 let dim s = 1 lsl s.n
-
-let parallel_dim s = dim s >= !par_threshold
-
-(* Element map over [0, len): parallel chunks at or above the threshold,
-   one plain loop below it.  [body lo hi] must write disjoint amplitudes
-   per index and must not touch the ambient Obs sink. *)
-let kernel s len body =
-  if parallel_dim s && len > 1 then Parallel.iter_range len body else body 0 len
-
-(* Reduction over [0, len): always routed through [Parallel.sum_range]
-   so the chunk decomposition — and hence the floating-point association
-   — is a pure function of [len], independent of the threshold and the
-   domain count. *)
-let ksum s len body =
-  let domains = if parallel_dim s then None else Some 1 in
-  Parallel.sum_range ?domains len body
 
 (* ------------------------------------------------------- construction *)
 
@@ -132,45 +91,26 @@ let probability s idx =
 
 let norm s =
   let a = s.a in
-  let acc =
-    ksum s (dim s) (fun lo hi ->
-        let t = ref 0.0 in
-        for i = lo to hi - 1 do
-          let xr = A.unsafe_get a (2 * i) and xi = A.unsafe_get a ((2 * i) + 1) in
-          t := !t +. (xr *. xr) +. (xi *. xi)
-        done;
-        !t)
-  in
-  sqrt acc
+  let t = ref 0.0 in
+  for i = 0 to dim s - 1 do
+    let xr = A.unsafe_get a (2 * i) and xi = A.unsafe_get a ((2 * i) + 1) in
+    t := !t +. (xr *. xr) +. (xi *. xi)
+  done;
+  sqrt !t
 
 let fidelity x y =
   if x.n <> y.n then invalid_arg "State.fidelity: qubit count mismatch";
   let xa = x.a and ya = y.a in
-  (* <x|y> = sum conj(x_i) y_i; real and imaginary parts reduced with the
-     same deterministic chunking. *)
-  let rr =
-    ksum x (dim x) (fun lo hi ->
-        let t = ref 0.0 in
-        for i = lo to hi - 1 do
-          t :=
-            !t
-            +. (A.unsafe_get xa (2 * i) *. A.unsafe_get ya (2 * i))
-            +. (A.unsafe_get xa ((2 * i) + 1) *. A.unsafe_get ya ((2 * i) + 1))
-        done;
-        !t)
-  in
-  let ri =
-    ksum x (dim x) (fun lo hi ->
-        let t = ref 0.0 in
-        for i = lo to hi - 1 do
-          t :=
-            !t
-            +. (A.unsafe_get xa (2 * i) *. A.unsafe_get ya ((2 * i) + 1))
-            -. (A.unsafe_get xa ((2 * i) + 1) *. A.unsafe_get ya (2 * i))
-        done;
-        !t)
-  in
-  (rr *. rr) +. (ri *. ri)
+  (* <x|y> = sum conj(x_i) y_i, real and imaginary parts each summed
+     left to right. *)
+  let rr = ref 0.0 and ri = ref 0.0 in
+  for i = 0 to dim x - 1 do
+    let xr = A.unsafe_get xa (2 * i) and xi = A.unsafe_get xa ((2 * i) + 1) in
+    let yr = A.unsafe_get ya (2 * i) and yi = A.unsafe_get ya ((2 * i) + 1) in
+    rr := !rr +. (xr *. yr) +. (xi *. yi);
+    ri := !ri +. (xr *. yi) -. (xi *. yr)
+  done;
+  (!rr *. !rr) +. (!ri *. !ri)
 
 let approx_equal ?(eps = 1e-9) x y =
   x.n = y.n
@@ -212,68 +152,59 @@ let apply_gate1 s (g : Gates.single) q =
   let u10r = g.Gates.u10.Cplx.re and u10i = g.Gates.u10.Cplx.im in
   let u11r = g.Gates.u11.Cplx.re and u11i = g.Gates.u11.Cplx.im in
   let diagonal = u01r = 0.0 && u01i = 0.0 && u10r = 0.0 && u10i = 0.0 in
+  let pairs = dim s / 2 in
   if diagonal && u00r = 1.0 && u00i = 0.0 then
     (* Unit upper-left entry: only the |1> slice moves (T, S, Z, phase).
-       Pair indices with the same high bits map to consecutive
-       amplitudes, so walk the chunk run by run; this is a map kernel
-       (each pair touched independently), so the traversal order is
-       free and only the chunk boundaries are contractual. *)
-    kernel s (dim s / 2) (fun lo hi ->
-        let p = ref lo in
-        while !p < hi do
-          let off = !p land low_mask in
-          let run_len = min (bit - off) (hi - !p) in
-          let base = (2 * pair_index !p q low_mask) + (2 * bit) in
-          for t = 0 to run_len - 1 do
-            let jj = base + (2 * t) in
-            let br = A.unsafe_get a jj and bi = A.unsafe_get a (jj + 1) in
-            A.unsafe_set a jj ((u11r *. br) -. (u11i *. bi));
-            A.unsafe_set a (jj + 1) ((u11r *. bi) +. (u11i *. br))
-          done;
-          p := !p + run_len
-        done)
+       It is the upper half of every aligned block of [2 * bit] basis
+       states, a run of consecutive amplitudes, so walk it run by run. *)
+    for h = 0 to (pairs / bit) - 1 do
+      let base = 2 * ((2 * h * bit) + bit) in
+      for t = 0 to bit - 1 do
+        let jj = base + (2 * t) in
+        let br = A.unsafe_get a jj and bi = A.unsafe_get a (jj + 1) in
+        A.unsafe_set a jj ((u11r *. br) -. (u11i *. bi));
+        A.unsafe_set a (jj + 1) ((u11r *. bi) +. (u11i *. br))
+      done
+    done
   else if diagonal then
     (* Two independent complex scalings (Rz and friends). *)
-    kernel s (dim s / 2) (fun lo hi ->
-        for p = lo to hi - 1 do
-          let ii = 2 * pair_index p q low_mask in
-          let jj = ii + (2 * bit) in
-          let ar = A.unsafe_get a ii and ai = A.unsafe_get a (ii + 1) in
-          let br = A.unsafe_get a jj and bi = A.unsafe_get a (jj + 1) in
-          A.unsafe_set a ii ((u00r *. ar) -. (u00i *. ai));
-          A.unsafe_set a (ii + 1) ((u00r *. ai) +. (u00i *. ar));
-          A.unsafe_set a jj ((u11r *. br) -. (u11i *. bi));
-          A.unsafe_set a (jj + 1) ((u11r *. bi) +. (u11i *. br))
-        done)
+    for p = 0 to pairs - 1 do
+      let ii = 2 * pair_index p q low_mask in
+      let jj = ii + (2 * bit) in
+      let ar = A.unsafe_get a ii and ai = A.unsafe_get a (ii + 1) in
+      let br = A.unsafe_get a jj and bi = A.unsafe_get a (jj + 1) in
+      A.unsafe_set a ii ((u00r *. ar) -. (u00i *. ai));
+      A.unsafe_set a (ii + 1) ((u00r *. ai) +. (u00i *. ar));
+      A.unsafe_set a jj ((u11r *. br) -. (u11i *. bi));
+      A.unsafe_set a (jj + 1) ((u11r *. bi) +. (u11i *. br))
+    done
   else if u00i = 0.0 && u01i = 0.0 && u10i = 0.0 && u11i = 0.0 then
     (* Real 2x2 (H, X): half the multiplies of the general case. *)
-    kernel s (dim s / 2) (fun lo hi ->
-        for p = lo to hi - 1 do
-          let ii = 2 * pair_index p q low_mask in
-          let jj = ii + (2 * bit) in
-          let ar = A.unsafe_get a ii and ai = A.unsafe_get a (ii + 1) in
-          let br = A.unsafe_get a jj and bi = A.unsafe_get a (jj + 1) in
-          A.unsafe_set a ii ((u00r *. ar) +. (u01r *. br));
-          A.unsafe_set a (ii + 1) ((u00r *. ai) +. (u01r *. bi));
-          A.unsafe_set a jj ((u10r *. ar) +. (u11r *. br));
-          A.unsafe_set a (jj + 1) ((u10r *. ai) +. (u11r *. bi))
-        done)
+    for p = 0 to pairs - 1 do
+      let ii = 2 * pair_index p q low_mask in
+      let jj = ii + (2 * bit) in
+      let ar = A.unsafe_get a ii and ai = A.unsafe_get a (ii + 1) in
+      let br = A.unsafe_get a jj and bi = A.unsafe_get a (jj + 1) in
+      A.unsafe_set a ii ((u00r *. ar) +. (u01r *. br));
+      A.unsafe_set a (ii + 1) ((u00r *. ai) +. (u01r *. bi));
+      A.unsafe_set a jj ((u10r *. ar) +. (u11r *. br));
+      A.unsafe_set a (jj + 1) ((u10r *. ai) +. (u11r *. bi))
+    done
   else
-    kernel s (dim s / 2) (fun lo hi ->
-        for p = lo to hi - 1 do
-          let ii = 2 * pair_index p q low_mask in
-          let jj = ii + (2 * bit) in
-          let ar = A.unsafe_get a ii and ai = A.unsafe_get a (ii + 1) in
-          let br = A.unsafe_get a jj and bi = A.unsafe_get a (jj + 1) in
-          A.unsafe_set a ii
-            ((u00r *. ar) -. (u00i *. ai) +. (u01r *. br) -. (u01i *. bi));
-          A.unsafe_set a (ii + 1)
-            ((u00r *. ai) +. (u00i *. ar) +. (u01r *. bi) +. (u01i *. br));
-          A.unsafe_set a jj
-            ((u10r *. ar) -. (u10i *. ai) +. (u11r *. br) -. (u11i *. bi));
-          A.unsafe_set a (jj + 1)
-            ((u10r *. ai) +. (u10i *. ar) +. (u11r *. bi) +. (u11i *. br))
-        done)
+    for p = 0 to pairs - 1 do
+      let ii = 2 * pair_index p q low_mask in
+      let jj = ii + (2 * bit) in
+      let ar = A.unsafe_get a ii and ai = A.unsafe_get a (ii + 1) in
+      let br = A.unsafe_get a jj and bi = A.unsafe_get a (jj + 1) in
+      A.unsafe_set a ii
+        ((u00r *. ar) -. (u00i *. ai) +. (u01r *. br) -. (u01i *. bi));
+      A.unsafe_set a (ii + 1)
+        ((u00r *. ai) +. (u00i *. ar) +. (u01r *. bi) +. (u01i *. br));
+      A.unsafe_set a jj
+        ((u10r *. ar) -. (u10i *. ai) +. (u11r *. br) -. (u11i *. bi));
+      A.unsafe_set a (jj + 1)
+        ((u10r *. ai) +. (u10i *. ar) +. (u11r *. bi) +. (u11i *. br))
+    done
 
 let apply_controlled1 s (g : Gates.single) ~control ~target =
   check_qubit s control;
@@ -291,23 +222,22 @@ let apply_controlled1 s (g : Gates.single) ~control ~target =
      clear by inserting both bits into a packed index. *)
   let q1 = min control target and q2 = max control target in
   let m1 = (1 lsl q1) - 1 in
-  kernel s (dim s / 4) (fun lo hi ->
-      for p = lo to hi - 1 do
-        (* Insert a cleared slot at q1, then one at q2, then set the
-           control bit; the target bit stays clear. *)
-        let x = pair_index p q1 m1 in
-        let i = (((x lsr q2) lsl (q2 + 1)) lor (x land ((1 lsl q2) - 1))) lor cbit in
-        let ii = 2 * i in
-        let jj = ii + (2 * tbit) in
-        let ar = A.unsafe_get a ii and ai = A.unsafe_get a (ii + 1) in
-        let br = A.unsafe_get a jj and bi = A.unsafe_get a (jj + 1) in
-        A.unsafe_set a ii ((u00r *. ar) -. (u00i *. ai) +. (u01r *. br) -. (u01i *. bi));
-        A.unsafe_set a (ii + 1)
-          ((u00r *. ai) +. (u00i *. ar) +. (u01r *. bi) +. (u01i *. br));
-        A.unsafe_set a jj ((u10r *. ar) -. (u10i *. ai) +. (u11r *. br) -. (u11i *. bi));
-        A.unsafe_set a (jj + 1)
-          ((u10r *. ai) +. (u10i *. ar) +. (u11r *. bi) +. (u11i *. br))
-      done)
+  for p = 0 to (dim s / 4) - 1 do
+    (* Insert a cleared slot at q1, then one at q2, then set the
+       control bit; the target bit stays clear. *)
+    let x = pair_index p q1 m1 in
+    let i = (((x lsr q2) lsl (q2 + 1)) lor (x land ((1 lsl q2) - 1))) lor cbit in
+    let ii = 2 * i in
+    let jj = ii + (2 * tbit) in
+    let ar = A.unsafe_get a ii and ai = A.unsafe_get a (ii + 1) in
+    let br = A.unsafe_get a jj and bi = A.unsafe_get a (jj + 1) in
+    A.unsafe_set a ii ((u00r *. ar) -. (u00i *. ai) +. (u01r *. br) -. (u01i *. bi));
+    A.unsafe_set a (ii + 1)
+      ((u00r *. ai) +. (u00i *. ar) +. (u01r *. bi) +. (u01i *. br));
+    A.unsafe_set a jj ((u10r *. ar) -. (u10i *. ai) +. (u11r *. br) -. (u11i *. bi));
+    A.unsafe_set a (jj + 1)
+      ((u10r *. ai) +. (u10i *. ar) +. (u11r *. bi) +. (u11i *. br))
+  done
 
 let apply_cnot s ~control ~target = apply_controlled1 s Gates.x ~control ~target
 
@@ -315,13 +245,12 @@ let apply_phase_if s pred =
   Obs.Scope.incr "quantum.gates";
   Obs.Trace.with_span "state.phase_if" @@ fun () ->
   let a = s.a in
-  kernel s (dim s) (fun lo hi ->
-      for i = lo to hi - 1 do
-        if pred i then begin
-          A.unsafe_set a (2 * i) (-.A.unsafe_get a (2 * i));
-          A.unsafe_set a ((2 * i) + 1) (-.A.unsafe_get a ((2 * i) + 1))
-        end
-      done)
+  for i = 0 to dim s - 1 do
+    if pred i then begin
+      A.unsafe_set a (2 * i) (-.A.unsafe_get a (2 * i));
+      A.unsafe_set a ((2 * i) + 1) (-.A.unsafe_get a ((2 * i) + 1))
+    end
+  done
 
 let apply_xor_if s pred q =
   check_qubit s q;
@@ -330,19 +259,18 @@ let apply_xor_if s pred q =
   let bit = 1 lsl q in
   let low_mask = bit - 1 in
   let a = s.a in
-  kernel s (dim s / 2) (fun lo hi ->
-      for p = lo to hi - 1 do
-        let i = pair_index p q low_mask in
-        if pred i then begin
-          let ii = 2 * i in
-          let jj = ii + (2 * bit) in
-          let tr = A.unsafe_get a ii and ti = A.unsafe_get a (ii + 1) in
-          A.unsafe_set a ii (A.unsafe_get a jj);
-          A.unsafe_set a (ii + 1) (A.unsafe_get a (jj + 1));
-          A.unsafe_set a jj tr;
-          A.unsafe_set a (jj + 1) ti
-        end
-      done)
+  for p = 0 to (dim s / 2) - 1 do
+    let i = pair_index p q low_mask in
+    if pred i then begin
+      let ii = 2 * i in
+      let jj = ii + (2 * bit) in
+      let tr = A.unsafe_get a ii and ti = A.unsafe_get a (ii + 1) in
+      A.unsafe_set a ii (A.unsafe_get a jj);
+      A.unsafe_set a (ii + 1) (A.unsafe_get a (jj + 1));
+      A.unsafe_set a jj tr;
+      A.unsafe_set a (jj + 1) ti
+    end
+  done
 
 let apply_hadamard_block s lo count =
   for q = lo to lo + count - 1 do
@@ -368,10 +296,10 @@ let check_above s ~width what q =
 
 let rec popcount b = if b = 0 then 0 else (b land 1) + popcount (b lsr 1)
 
-(* The gates of one word run as one kernel: for every high part [h],
+(* The gates of one word run as one loop: for every high part [h],
    the loop walks the word's addresses in order.  Distinct addresses
    touch disjoint amplitudes, and a swap or a negation is exact, so the
-   result is that of one kernel per address, bit for bit. *)
+   result is that of one loop per address, bit for bit. *)
 let apply_xor_on_addresses s ~width ~address ~bits ?require ~target () =
   check_address_args s ~width ~address ~bits;
   check_above s ~width "target" target;
@@ -382,25 +310,23 @@ let apply_xor_on_addresses s ~width ~address ~bits ?require ~target () =
     let a = s.a in
     let tbit = 1 lsl target in
     let rbit = match require with Some r -> 1 lsl r | None -> 0 in
-    let highs = dim s lsr width in
-    kernel s highs (fun lo hi ->
-        for h = lo to hi - 1 do
-          let w = ref bits and addr = ref address in
-          while !w <> 0 do
-            let idx = (h lsl width) lor !addr in
-            if !w land 1 = 1 && idx land tbit = 0 && idx land rbit = rbit then begin
-              let ii = 2 * idx in
-              let jj = ii + (2 * tbit) in
-              let tr = A.unsafe_get a ii and ti = A.unsafe_get a (ii + 1) in
-              A.unsafe_set a ii (A.unsafe_get a jj);
-              A.unsafe_set a (ii + 1) (A.unsafe_get a (jj + 1));
-              A.unsafe_set a jj tr;
-              A.unsafe_set a (jj + 1) ti
-            end;
-            w := !w lsr 1;
-            incr addr
-          done
-        done)
+    for h = 0 to (dim s lsr width) - 1 do
+      let w = ref bits and addr = ref address in
+      while !w <> 0 do
+        let idx = (h lsl width) lor !addr in
+        if !w land 1 = 1 && idx land tbit = 0 && idx land rbit = rbit then begin
+          let ii = 2 * idx in
+          let jj = ii + (2 * tbit) in
+          let tr = A.unsafe_get a ii and ti = A.unsafe_get a (ii + 1) in
+          A.unsafe_set a ii (A.unsafe_get a jj);
+          A.unsafe_set a (ii + 1) (A.unsafe_get a (jj + 1));
+          A.unsafe_set a jj tr;
+          A.unsafe_set a (jj + 1) ti
+        end;
+        w := !w lsr 1;
+        incr addr
+      done
+    done
   end
 
 let apply_phase_on_addresses s ~width ~address ~bits ?require () =
@@ -411,20 +337,18 @@ let apply_phase_on_addresses s ~width ~address ~bits ?require () =
     Obs.Trace.with_span "state.phase_on_address" @@ fun () ->
     let a = s.a in
     let rbit = match require with Some r -> 1 lsl r | None -> 0 in
-    let highs = dim s lsr width in
-    kernel s highs (fun lo hi ->
-        for h = lo to hi - 1 do
-          let w = ref bits and addr = ref address in
-          while !w <> 0 do
-            let idx = (h lsl width) lor !addr in
-            if !w land 1 = 1 && idx land rbit = rbit then begin
-              A.unsafe_set a (2 * idx) (-.A.unsafe_get a (2 * idx));
-              A.unsafe_set a ((2 * idx) + 1) (-.A.unsafe_get a ((2 * idx) + 1))
-            end;
-            w := !w lsr 1;
-            incr addr
-          done
-        done)
+    for h = 0 to (dim s lsr width) - 1 do
+      let w = ref bits and addr = ref address in
+      while !w <> 0 do
+        let idx = (h lsl width) lor !addr in
+        if !w land 1 = 1 && idx land rbit = rbit then begin
+          A.unsafe_set a (2 * idx) (-.A.unsafe_get a (2 * idx));
+          A.unsafe_set a ((2 * idx) + 1) (-.A.unsafe_get a ((2 * idx) + 1))
+        end;
+        w := !w lsr 1;
+        incr addr
+      done
+    done
   end
 
 (* --------------------------------------------------------- measurement *)
@@ -433,15 +357,14 @@ let prob_qubit_one s q =
   check_qubit s q;
   let bit = 1 lsl q in
   let a = s.a in
-  ksum s (dim s) (fun lo hi ->
-      let t = ref 0.0 in
-      for i = lo to hi - 1 do
-        if i land bit <> 0 then begin
-          let xr = A.unsafe_get a (2 * i) and xi = A.unsafe_get a ((2 * i) + 1) in
-          t := !t +. (xr *. xr) +. (xi *. xi)
-        end
-      done;
-      !t)
+  let t = ref 0.0 in
+  for i = 0 to dim s - 1 do
+    if i land bit <> 0 then begin
+      let xr = A.unsafe_get a (2 * i) and xi = A.unsafe_get a ((2 * i) + 1) in
+      t := !t +. (xr *. xr) +. (xi *. xi)
+    end
+  done;
+  !t
 
 let measure_qubit s rng q =
   Obs.Scope.incr "quantum.measurements";
@@ -453,18 +376,17 @@ let measure_qubit s rng q =
   let p_kept = if outcome then p1 else 1.0 -. p1 in
   let inv = if p_kept > 0.0 then 1.0 /. sqrt p_kept else 0.0 in
   let a = s.a in
-  kernel s (dim s) (fun lo hi ->
-      for i = lo to hi - 1 do
-        let is_set = i land bit <> 0 in
-        if is_set = keep_mask_set then begin
-          A.unsafe_set a (2 * i) (A.unsafe_get a (2 * i) *. inv);
-          A.unsafe_set a ((2 * i) + 1) (A.unsafe_get a ((2 * i) + 1) *. inv)
-        end
-        else begin
-          A.unsafe_set a (2 * i) 0.0;
-          A.unsafe_set a ((2 * i) + 1) 0.0
-        end
-      done);
+  for i = 0 to dim s - 1 do
+    let is_set = i land bit <> 0 in
+    if is_set = keep_mask_set then begin
+      A.unsafe_set a (2 * i) (A.unsafe_get a (2 * i) *. inv);
+      A.unsafe_set a ((2 * i) + 1) (A.unsafe_get a ((2 * i) + 1) *. inv)
+    end
+    else begin
+      A.unsafe_set a (2 * i) 0.0;
+      A.unsafe_set a ((2 * i) + 1) 0.0
+    end
+  done;
   outcome
 
 let sample_all s rng =

@@ -6,18 +6,13 @@
     indexed by integers; {b qubit 0 is the least significant bit} of the
     basis index.  All gate applications are in place.
 
-    {2 Parallelism and determinism}
-
-    Registers whose dimension reaches the {!parallel_threshold} run
-    their amplitude kernels through [Mathx.Parallel]'s range helpers,
-    spreading chunks over OCaml 5 domains; smaller registers run plain
-    sequential loops.  The two paths are {e bit-identical}: gate kernels
-    write disjoint amplitudes, and every floating-point reduction uses a
-    chunk decomposition that depends only on the register size — never
-    on the threshold or the domain count.  Changing the threshold (or
-    the [OQSC_PAR_THRESHOLD] environment override) therefore affects
-    wall-clock time only, never results, preserving
-    the seeded-run determinism contract of [run-all --check]. *)
+    Every amplitude kernel is one plain loop on the calling domain, and
+    every floating-point reduction sums left to right, so results are a
+    pure function of the register and the gates applied — the seeded-run
+    determinism contract of [run-all --check].  Parallelism lives a level
+    up, one experiment or trial per [Mathx.Parallel.map_chunks] chunk;
+    the paper's registers (2k + 2 qubits) are too small to pay for
+    splitting one kernel across domains. *)
 
 type t
 
@@ -74,19 +69,6 @@ val approx_equal : ?eps:float -> t -> t -> bool
 (** Amplitude-wise comparison, default tolerance [1e-9] (no global-phase
     quotient; see {!fidelity} for phase-insensitive comparison). *)
 
-(** {1 Parallel backend control} *)
-
-val parallel_threshold : unit -> int
-(** Dimension at or above which the amplitude kernels use the parallel
-    chunked path.  Defaults to [2^14]; [OQSC_PAR_THRESHOLD] (when set
-    to a non-negative integer) overrides it at startup, [0] forcing the
-    chunked path everywhere. *)
-
-val set_parallel_threshold : int -> unit
-(** Benchmarks use it to pin the backend to one scheduling path.  Never
-    changes results, only scheduling.
-    @raise Invalid_argument on a negative threshold. *)
-
 (** {1 Gate application} *)
 
 val apply_gate1 : t -> Gates.single -> int -> unit
@@ -100,15 +82,13 @@ val apply_cnot : t -> control:int -> target:int -> unit
 val apply_phase_if : t -> (int -> bool) -> unit
 (** [apply_phase_if s pred] multiplies the amplitude of every basis state
     [idx] with [pred idx] by -1.  This is the fast path for the paper's
-    operators S_k and W_y (§3.2), which are diagonal ±1.  [pred] must be
-    pure: above the parallel threshold it is evaluated concurrently. *)
+    operators S_k and W_y (§3.2), which are diagonal ±1. *)
 
 val apply_xor_if : t -> (int -> bool) -> int -> unit
 (** [apply_xor_if s pred q] flips qubit [q] on every basis state whose
     {e other} bits satisfy [pred idx] ([pred] must not depend on bit [q]).
     Fast path for the operators V_x and R_y, which XOR a function of the
-    address register into a one-qubit target.  [pred] must be pure (see
-    {!apply_phase_if}). *)
+    address register into a one-qubit target. *)
 
 val apply_hadamard_block : t -> int -> int -> unit
 (** [apply_hadamard_block s lo count] applies H to qubits

@@ -92,11 +92,13 @@ if want smoke; then
     --json "$tmp/exp_d2.json"
   cmp "$tmp/exp.json" "$tmp/exp_d2.json"
 
-  # Both register-backend scheduling paths must too: force every
-  # amplitude loop through the chunked dispatch and compare bytes.
-  OQSC_PAR_THRESHOLD=0 dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --json "$tmp/exp_par.json"
-  cmp "$tmp/exp.json" "$tmp/exp_par.json"
+  # The README's CLI quickstart must run as written: its gen line, then
+  # the quantum and block recognizers on what it wrote.
+  dune exec bin/oqsc_cli.exe -- gen -k 3 --kind intersect -t 1 > "$tmp/input.txt"
+  dune exec bin/oqsc_cli.exe -- run --algo quantum --input "$tmp/input.txt" \
+    >"$tmp/run_quantum.out"
+  dune exec bin/oqsc_cli.exe -- run --algo block --input "$tmp/input.txt" \
+    >"$tmp/run_block.out"
 
   # Every example executable must run to a zero exit status;
   # circuit_dump is the one caller of A3's circuit-recording path.
@@ -110,10 +112,10 @@ fi
 if want trace; then
   echo "== trace smoke =="
   # Tracing must be write-only: a traced run's gated JSON must match an
-  # untraced one-domain baseline byte for byte, on the default,
-  # two-domain, and forced-chunked scheduling paths alike. Each emitted timeline must
-  # also survive the structural linter (balanced per-track B/E spans,
-  # nondecreasing timestamps, zero dropped events).
+  # untraced one-domain baseline byte for byte, on the default and
+  # two-domain schedules alike. Each emitted timeline must also survive
+  # the structural linter (balanced per-track B/E spans, nondecreasing
+  # timestamps, zero dropped events).
   dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e3 --domains 1 \
     --json "$tmp/e3.json"
   dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e3 \
@@ -125,11 +127,6 @@ if want trace; then
     --trace "$tmp/e3_trace_d2.json" --json "$tmp/e3_traced_d2.json"
   cmp "$tmp/e3.json" "$tmp/e3_traced_d2.json"
   dune exec bin/oqsc_cli.exe -- trace-lint "$tmp/e3_trace_d2.json"
-
-  OQSC_PAR_THRESHOLD=0 dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --only e3 --trace "$tmp/e3_trace_par.json" --json "$tmp/e3_traced_par.json"
-  cmp "$tmp/e3.json" "$tmp/e3_traced_par.json"
-  dune exec bin/oqsc_cli.exe -- trace-lint "$tmp/e3_trace_par.json"
 fi
 
 if want shard; then
@@ -160,13 +157,19 @@ if want shard; then
     "$tmp/sa_1.json" "$tmp/sa_0.json"
   cmp "$tmp/sa_full.json" "$tmp/sa_merged.json"
 
-  # Malformed selections must fail non-zero with a usable message.
-  # (A command negated with '!' never trips set -e, so each check
-  # fails the stage explicitly.)
-  for sel in "--shard 3/3" "--shard 0/0" "--shard x/3" "--only e99"; do
-    # $sel is unquoted on purpose: it splits into an option and its value.
-    if dune exec bin/oqsc_cli.exe -- run-all --quick --quiet $sel 2>/dev/null; then
-      echo "run-all accepted $sel" >&2
+  # Malformed selections and out-of-range arguments must fail with a
+  # usable message and cmdliner's usage-error status 124, never 125 (an
+  # uncaught exception). A failing command caught by '||' never trips
+  # set -e, so each check fails the stage explicitly.
+  for args in "run-all --quick --quiet --shard 3/3" \
+    "run-all --quick --quiet --shard 0/0" "run-all --quick --quiet --shard x/3" \
+    "run-all --quick --quiet --only e99" "gen -k 0" \
+    "gen -k 1 --kind intersect -t 9" "run --algo subsample --budget 0"; do
+    rc=0
+    # $args is unquoted on purpose: it splits into a command and its options.
+    dune exec bin/oqsc_cli.exe -- $args </dev/null >/dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 124 ]; then
+      echo "oqsc $args exited $rc, not 124" >&2
       exit 1
     fi
   done

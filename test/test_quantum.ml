@@ -279,40 +279,39 @@ let test_sample_all_zero_tail () =
   done
 
 let test_backend_paths_bit_identical () =
-  (* The parallel chunked path and the plain sequential path must agree
-     bit for bit — the determinism contract behind run-all --check. *)
-  let saved = State.parallel_threshold () in
-  Fun.protect
-    ~finally:(fun () -> State.set_parallel_threshold saved)
-    (fun () ->
-      let run () =
-        let s = State.create 15 in
-        State.apply_hadamard_block s 0 15;
-        State.apply_gate1 s (Gates.rz 0.37) 3;
-        State.apply_controlled1 s Gates.t ~control:2 ~target:9;
-        State.apply_cnot s ~control:14 ~target:0;
-        State.apply_phase_if s (fun idx -> idx land 5 = 5);
-        State.apply_xor_if s (fun idx -> idx land 3 = 1) 7;
-        State.apply_xor_on_addresses s ~width:4 ~address:11 ~bits:1 ~target:8 ();
-        State.apply_phase_on_addresses s ~width:4 ~address:7 ~bits:1 ~require:6 ();
-        let n1 = State.norm s in
-        let p1 = State.prob_qubit_one s 5 in
-        let m = State.measure_qubit s (Rng.create 7) 9 in
-        (s, n1, p1, m)
-      in
-      State.set_parallel_threshold max_int;
-      let seq, nrm_s, p_s, m_s = run () in
-      State.set_parallel_threshold 0;
-      let par, nrm_p, p_p, m_p = run () in
-      let ok = ref true in
-      for i = 0 to State.dim seq - 1 do
-        if State.re seq i <> State.re par i || State.im seq i <> State.im par i
-        then ok := false
-      done;
-      check "amplitudes bit-identical" true !ok;
-      check "norm bit-identical" true (nrm_s = nrm_p);
-      check "prob bit-identical" true (p_s = p_p);
-      check "measurement identical" true (m_s = m_p))
+  (* The kernels share no mutable global state: the same gate sequence
+     gives the same bits on the calling domain and on two domains at
+     once — the determinism contract behind run-all --check. *)
+  let run () =
+    let s = State.create 15 in
+    State.apply_hadamard_block s 0 15;
+    State.apply_gate1 s (Gates.rz 0.37) 3;
+    State.apply_gate1 s Gates.t 11;
+    State.apply_controlled1 s Gates.t ~control:2 ~target:9;
+    State.apply_cnot s ~control:14 ~target:0;
+    State.apply_phase_if s (fun idx -> idx land 5 = 5);
+    State.apply_xor_if s (fun idx -> idx land 3 = 1) 7;
+    State.apply_xor_on_addresses s ~width:4 ~address:11 ~bits:1 ~target:8 ();
+    State.apply_phase_on_addresses s ~width:4 ~address:7 ~bits:1 ~require:6 ();
+    let n1 = State.norm s in
+    let p1 = State.prob_qubit_one s 5 in
+    let m = State.measure_qubit s (Rng.create 7) 9 in
+    (s, n1, p1, m)
+  in
+  let seq, nrm_s, p_s, m_s = run () in
+  Parallel.map_chunks ~domains:2 ~chunks:2
+    (fun ~chunk:_ ~rng:_ -> run ())
+    ~rng:(Rng.create 1)
+  |> List.iter (fun (par, nrm_p, p_p, m_p) ->
+         let ok = ref true in
+         for i = 0 to State.dim seq - 1 do
+           if State.re seq i <> State.re par i || State.im seq i <> State.im par i
+           then ok := false
+         done;
+         check "amplitudes bit-identical" true !ok;
+         check "norm bit-identical" true (nrm_s = nrm_p);
+         check "prob bit-identical" true (p_s = p_p);
+         check "measurement identical" true (m_s = m_p))
 
 let test_of_amplitudes_guard () =
   Alcotest.check_raises "not a power of two"
