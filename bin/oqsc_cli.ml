@@ -25,9 +25,20 @@
 open Cmdliner
 open Mathx
 
-let read_input = function
-  | "-" -> In_channel.input_all In_channel.stdin |> String.trim
-  | path -> In_channel.with_open_text path In_channel.input_all |> String.trim
+(* Read the input ("-" for stdin) and run [f] on it; an unreadable file,
+   or an input [f] rejects with [Invalid_argument], ends the command
+   with the usage error ["<what>: <reason>"]. *)
+let with_input ~what input f =
+  match
+    match input with
+    | "-" -> In_channel.input_all In_channel.stdin
+    | path -> In_channel.with_open_text path In_channel.input_all
+  with
+  | exception Sys_error msg -> `Error (false, what ^ ": " ^ msg)
+  | text -> (
+      match f (String.trim text) with
+      | exception Invalid_argument msg -> `Error (false, what ^ ": " ^ msg)
+      | () -> `Ok ())
 
 (* Write [doc] to [dest] ("-" for stdout; nothing when [dest] is absent),
    then continue with [k]; a [Sys_error] ends the command with the error
@@ -136,10 +147,7 @@ let run_cmd =
       (if Lang.Ldisj.member w then "in L_DISJ" else "not in L_DISJ")
   in
   let action algo input budget seed =
-    let w = read_input input in
-    match report algo w budget (Rng.create seed) with
-    | exception Invalid_argument msg -> `Error (false, "run: " ^ msg)
-    | () -> `Ok ()
+    with_input ~what:"run" input (fun w -> report algo w budget (Rng.create seed))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a recognizer on an input string.")
@@ -858,7 +866,7 @@ let ne_cmd =
     Arg.(value & opt string "-" & info [ "input" ] ~docv:"FILE" ~doc:"Input file, or - for stdin.")
   in
   let action input =
-    let w = read_input input in
+    with_input ~what:"ne" input @@ fun w ->
     let d = Oqsc.Nondet_ne.decide w in
     Printf.printf "L_NE verdict: %s\n"
       (if d.Oqsc.Nondet_ne.member then "member (x <> y)" else "not a member");
@@ -871,7 +879,7 @@ let ne_cmd =
   in
   Cmd.v
     (Cmd.info "ne" ~doc:"Decide the L_NE = { x#y : x <> y } extension language nondeterministically.")
-    Term.(const action $ input)
+    Term.(ret (const action $ input))
 
 let ids_cmd =
   let action () =

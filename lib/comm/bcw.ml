@@ -35,9 +35,7 @@ let iteration tr state ~w ~x ~y =
   Transcript.send tr Transcript.Bob ~qubits:(w + 1) ();
   (* Alice: uncompute V_x, diffusion on the address register. *)
   v ();
-  State.apply_hadamard_block state 0 w;
-  State.apply_phase_if state (fun idx -> idx land mask <> 0);
-  State.apply_hadamard_block state 0 w
+  State.reflect_uniform state ~width:w
 
 let run ?(max_verification_rounds = 3) rng ~x ~y =
   if Bitvec.length x <> Bitvec.length y then invalid_arg "Bcw.run: length mismatch";

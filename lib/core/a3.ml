@@ -103,11 +103,10 @@ let r_bits t ~idx bits =
   if t.recording then
     A1.iter_set_bits (fun i -> record t (Circuit.Ops.r_bit t.lay i)) ~idx bits
 
+(* U_k S_k U_k in one kernel; the recorded gates stay the three-step
+   form, so a circuit or wire tape is that of the paper's operator. *)
 let diffusion t =
-  let w = width t in
-  State.apply_hadamard_block t.state 0 w;
-  State.apply_phase_if t.state (fun idx -> idx land ((1 lsl w) - 1) <> 0);
-  State.apply_hadamard_block t.state 0 w;
+  State.reflect_uniform t.state ~width:(width t);
   if t.recording then
     record t (Circuit.Ops.u_k t.lay @ Circuit.Ops.s_k t.lay @ Circuit.Ops.u_k t.lay)
 

@@ -53,9 +53,11 @@ let rows ?(quick = false) ~seed () =
       let trials = trials_for k in
       List.map
         (fun w ->
-          (* Trials are independent: fan them out over domains. *)
+          (* One chunk per trial keeps the in-order splits and per-chunk
+             sinks; the trials run on the experiment's own domain, since
+             the registry already spreads experiments over domains. *)
           let outcomes =
-            Parallel.map_chunks ~chunks:trials
+            Parallel.map_chunks ~domains:1 ~chunks:trials
               (fun ~chunk:_ ~rng ->
                 let inst = w.make (Rng.split rng) in
                 let r =

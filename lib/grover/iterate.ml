@@ -12,16 +12,9 @@ let phase_oracle o s =
   let mask = address_mask o in
   State.apply_phase_if s (fun idx -> Oracle.marked o (idx land mask))
 
-let diffusion o s =
-  let n = Oracle.n o in
-  let mask = address_mask o in
-  State.apply_hadamard_block s 0 n;
-  State.apply_phase_if s (fun idx -> idx land mask <> 0);
-  State.apply_hadamard_block s 0 n
-
 let iteration o s =
   phase_oracle o s;
-  diffusion o s
+  State.reflect_uniform s ~width:(Oracle.n o)
 
 let run ?extra_qubits o j =
   let s = prepare_uniform ?extra_qubits o in

@@ -10,14 +10,13 @@ val prepare_uniform : ?extra_qubits:int -> Oracle.t -> Quantum.State.t
     [2^{-n/2} sum_i |i>|0...0>] with [extra_qubits] additional zeroed
     qubits above the address register (default 0). *)
 
-val diffusion : Oracle.t -> Quantum.State.t -> unit
-(** The operator [U_k S_k U_k] of §3.2: Hadamards on the address register,
-    phase flip on every non-zero address, Hadamards again.  Equals the
-    standard "inversion about the mean" up to a global sign. *)
-
 val iteration : Oracle.t -> Quantum.State.t -> unit
 (** One Grover iteration: multiply the amplitude of every basis state
-    whose address part is marked by -1, then {!diffusion}. *)
+    whose address part is marked by -1, then apply the diffusion
+    [U_k S_k U_k] of §3.2 (Hadamards on the address register, a phase
+    flip on every non-zero address, Hadamards again).  The diffusion is
+    exactly 2|u><u| - I, "inversion about the mean" on the address
+    register, and runs as {!Quantum.State.reflect_uniform}. *)
 
 val run : ?extra_qubits:int -> Oracle.t -> int -> Quantum.State.t
 (** [run o j] prepares the uniform state and applies [j] iterations. *)

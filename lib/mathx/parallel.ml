@@ -73,10 +73,3 @@ let map_chunks ?domains ~chunks f ~rng =
     (Array.map
        (function Some v -> v | None -> failwith "Parallel.map_chunks: missing result")
        results)
-
-let count_successes ?domains ~trials f ~rng =
-  if trials < 0 then invalid_arg "Parallel.count_successes: negative trials";
-  let hits =
-    map_chunks ?domains ~chunks:trials (fun ~chunk:_ ~rng -> f rng) ~rng
-  in
-  List.length (List.filter Fun.id hits)

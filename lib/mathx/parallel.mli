@@ -23,11 +23,11 @@
     touches the chunk sinks, the PRNG streams, or the results. *)
 
 val recommended_domains : unit -> int
-(** [max 1 (cores - 1)], capped at 8.  Sections nest one level deep —
-    an experiment fans its trials out from inside the registry's
-    experiment-level fan-out, as does a served miss — so with the cap
-    at most 8 × 8 = 64 domains are live at once on any host, within the
-    runtime's limit of 128. *)
+(** [max 1 (cores - 1)], capped at 8.  One level schedules: the
+    registry spreads experiments, and a server its distinct misses,
+    while an experiment's own trials run on its chunk's domain
+    ([~domains:1]), so at most 8 domains are live at once on any host,
+    well within the runtime's limit of 128. *)
 
 val map_chunks :
   ?domains:int -> chunks:int -> (chunk:int -> rng:Rng.t -> 'a) -> rng:Rng.t -> 'a list
@@ -44,10 +44,3 @@ val map_chunks :
       on the calling domain; omitting it uses [recommended_domains ()];
     - a single item also runs on the calling domain; otherwise workers
       steal one item at a time. *)
-
-val count_successes :
-  ?domains:int -> trials:int -> (Rng.t -> bool) -> rng:Rng.t -> int
-(** Runs [trials] independent boolean trials (one PRNG split each) in
-    parallel and counts the [true]s — the Monte-Carlo kernel.  Agrees
-    with the sequential fold that splits [rng] once per trial in order.
-    [trials = 0] returns [0]; [trials < 0] raises [Invalid_argument]. *)

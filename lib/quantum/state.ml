@@ -277,6 +277,33 @@ let apply_hadamard_block s lo count =
     apply_gate1 s Gates.h q
   done
 
+(* H^w (2|0><0| - I) H^w = 2|u><u| - I on the low [width] qubits: each
+   slice of [2^width] consecutive amplitudes (one value of the qubits
+   above) is reflected about its own mean, in two passes over the slice
+   instead of 2w + 1 over the register.  It counts as the 2w + 1 gates
+   of the sandwich it replaces. *)
+let reflect_uniform s ~width =
+  if width < 0 || width > s.n then invalid_arg "State.reflect_uniform: bad width";
+  Obs.Scope.add "quantum.gates" ((2 * width) + 1);
+  Obs.Trace.with_span "state.reflect_uniform" @@ fun () ->
+  let a = s.a in
+  let len = 1 lsl width in
+  let scale = 2.0 /. float_of_int len in
+  for h = 0 to (dim s lsr width) - 1 do
+    let base = 2 * (h lsl width) in
+    let sr = ref 0.0 and si = ref 0.0 in
+    for t = 0 to len - 1 do
+      sr := !sr +. A.unsafe_get a (base + (2 * t));
+      si := !si +. A.unsafe_get a (base + (2 * t) + 1)
+    done;
+    let mr = scale *. !sr and mi = scale *. !si in
+    for t = 0 to len - 1 do
+      let jj = base + (2 * t) in
+      A.unsafe_set a jj (mr -. A.unsafe_get a jj);
+      A.unsafe_set a (jj + 1) (mi -. A.unsafe_get a (jj + 1))
+    done
+  done
+
 (* ------------------------------------------------- address fast paths *)
 
 (* [width = nqubits] is legal as long as no qubit (target or require) is

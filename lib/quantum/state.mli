@@ -94,6 +94,19 @@ val apply_hadamard_block : t -> int -> int -> unit
 (** [apply_hadamard_block s lo count] applies H to qubits
     [lo .. lo+count-1] (the paper's [U_k = H^{2k}] on the address register). *)
 
+val reflect_uniform : t -> width:int -> unit
+(** [reflect_uniform s ~width] applies 2|u><u| - I to the low [width]
+    qubits, where |u> is their uniform superposition: the Grover
+    diffusion, "inversion about the mean".  It equals
+    [apply_hadamard_block s 0 width], a phase flip on every basis state
+    whose low [width] bits are not all zero, then
+    [apply_hadamard_block s 0 width] again (the paper's U_k S_k U_k), up
+    to rounding.  For each value of the qubits above [width] it takes
+    the mean of those [2^width] amplitudes (one left-to-right sum) and
+    sets each amplitude [a] to [2 mean - a].  Counts [2 width + 1] in
+    [quantum.gates], as the three-step form does.
+    @raise Invalid_argument unless [0 <= width <= nqubits s]. *)
+
 val apply_xor_on_addresses :
   t -> width:int -> address:int -> bits:int -> ?require:int -> target:int -> unit -> unit
 (** [apply_xor_on_addresses s ~width ~address ~bits ?require ~target ()]

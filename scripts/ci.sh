@@ -160,11 +160,15 @@ if want shard; then
   # Malformed selections and out-of-range arguments must fail with a
   # usable message and cmdliner's usage-error status 124, never 125 (an
   # uncaught exception). A failing command caught by '||' never trips
-  # set -e, so each check fails the stage explicitly.
+  # set -e, so each check fails the stage explicitly. The loop reads
+  # /dev/null, so a bad input character comes from a file.
+  printf '01x\n' > "$tmp/bad_symbol.txt"
   for args in "run-all --quick --quiet --shard 3/3" \
     "run-all --quick --quiet --shard 0/0" "run-all --quick --quiet --shard x/3" \
     "run-all --quick --quiet --only e99" "gen -k 0" \
-    "gen -k 1 --kind intersect -t 9" "run --algo subsample --budget 0"; do
+    "gen -k 1 --kind intersect -t 9" "run --algo subsample --budget 0" \
+    "run --input $tmp/missing.txt" "ne --input $tmp/missing.txt" \
+    "ne --input $tmp/bad_symbol.txt"; do
     rc=0
     # $args is unquoted on purpose: it splits into a command and its options.
     dune exec bin/oqsc_cli.exe -- $args </dev/null >/dev/null 2>&1 || rc=$?

@@ -85,7 +85,14 @@ let test_address_fastpath_guards () =
          ~target:3 ()
      with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  List.iter
+    (fun width ->
+      check (Printf.sprintf "reflect_uniform width %d" width) true
+        (match Quantum.State.reflect_uniform s ~width with
+        | exception Invalid_argument _ -> true
+        | () -> false))
+    [ -1; 5 ]
 
 (* -------------------------------------------------------------- circuit *)
 
@@ -125,12 +132,12 @@ let test_oracle_make_guard () =
     | _ -> false)
 
 let test_amplify_all_marked () =
-  (* a = 1: preparation already succeeds; steps keep it there. *)
-  let op = Grover.Amplify.hadamard_operator 2 in
-  let marked _ = true in
-  let s = Grover.Amplify.run op ~n:2 ~marked ~steps:2 in
+  (* Every address marked: the uniform start already succeeds, and
+     Grover iterations keep it there. *)
+  let o = Grover.Oracle.make ~n:2 (fun _ -> true) in
+  let s = Grover.Iterate.run o 2 in
   Alcotest.(check (float 1e-9)) "stays 1" 1.0
-    (Grover.Amplify.success_probability ~marked s)
+    (Grover.Iterate.success_probability o s)
 
 (* -------------------------------------------------------------- machine *)
 

@@ -44,7 +44,8 @@ let test_success_matches_closed_form () =
             (Analysis.success_after ~j ~t ~space)
             (Iterate.success_probability o s))
         [ 0; 1; 3; 6 ])
-    [ 1; 2; 5 ]
+    (* t = space: every address is marked, and the success stays 1. *)
+    [ 1; 2; 5; space ]
 
 let test_uniform_preparation () =
   let o = Oracle.make ~n:4 (fun _ -> false) in

@@ -12,7 +12,6 @@ let () =
       ("circuit", Test_circuit.suite);
       ("optimize", Test_optimize.suite);
       ("grover", Test_grover.suite);
-      ("amplify", Test_amplify.suite);
       ("machine", Test_machine.suite);
       ("program", Test_program.suite);
       ("lang", Test_lang.suite);

@@ -274,19 +274,20 @@ let test_parallel_matches_sequential () =
   check "domain count does not change results" true (seq = par);
   check_int "chunk order preserved" 50 (List.length seq)
 
-let test_parallel_count_successes () =
-  let rng = Rng.create 77 in
-  let hits = Parallel.count_successes ~trials:4000 (fun rng -> Rng.bool rng) ~rng in
-  check "about half" true (abs (hits - 2000) < 200);
-  check_int "zero trials" 0
-    (Parallel.count_successes ~trials:0 (fun _ -> true) ~rng)
+let test_parallel_count () =
+  (* The Monte-Carlo count E3 and E14 take: one chunk per trial. *)
+  let hits =
+    Parallel.map_chunks ~chunks:4000 (fun ~chunk:_ ~rng -> Rng.bool rng) ~rng:(Rng.create 77)
+    |> List.filter Fun.id |> List.length
+  in
+  check "about half" true (abs (hits - 2000) < 200)
 
 let test_parallel_empty_and_guards () =
   check_int "no chunks" 0
     (List.length (Parallel.map_chunks ~chunks:0 (fun ~chunk ~rng:_ -> chunk) ~rng:(Rng.create 1)));
-  Alcotest.check_raises "negative trials"
-    (Invalid_argument "Parallel.count_successes: negative trials") (fun () ->
-      ignore (Parallel.count_successes ~trials:(-1) (fun _ -> true) ~rng:(Rng.create 1)))
+  Alcotest.check_raises "negative chunks"
+    (Invalid_argument "Parallel.map_chunks: negative chunk count") (fun () ->
+      ignore (Parallel.map_chunks ~chunks:(-1) (fun ~chunk ~rng:_ -> chunk) ~rng:(Rng.create 1)))
 
 (* ---------------------------------------------------------------- cplx *)
 
@@ -380,7 +381,7 @@ let suite =
     ("fingerprint distinguishes", `Quick, test_fingerprint_distinguishes);
     ("fingerprint reset", `Quick, test_fingerprint_reset_and_meta);
     ("parallel = sequential", `Quick, test_parallel_matches_sequential);
-    ("parallel count", `Quick, test_parallel_count_successes);
+    ("parallel count", `Quick, test_parallel_count);
     ("parallel guards", `Quick, test_parallel_empty_and_guards);
     ("cplx algebra", `Quick, test_cplx_algebra);
   ]

@@ -26,22 +26,20 @@ let prop_chunk_order =
         ~rng:(Rng.create 1)
       = List.init chunks Fun.id)
 
-let prop_count_successes_matches_fold =
+let prop_matches_sequential_fold =
   QCheck.Test.make
-    ~name:"count_successes = sequential fold over in-order splits" ~count:50
+    ~name:"map_chunks = sequential fold over in-order splits" ~count:50
     QCheck.(pair small_nat (int_bound 60))
-    (fun (seed, trials) ->
+    (fun (seed, chunks) ->
       let f rng = Rng.int rng 10 < 3 in
       let parallel =
-        Parallel.count_successes ~domains:4 ~trials f ~rng:(Rng.create seed)
+        Parallel.map_chunks ~domains:4 ~chunks
+          (fun ~chunk:_ ~rng -> f rng)
+          ~rng:(Rng.create seed)
       in
       let sequential =
         let rng = Rng.create seed in
-        let hits = ref 0 in
-        for _ = 1 to trials do
-          if f (Rng.split rng) then incr hits
-        done;
-        !hits
+        List.init chunks (fun _ -> f (Rng.split rng))
       in
       parallel = sequential)
 
@@ -71,25 +69,12 @@ let test_negative_chunks () =
         (Parallel.map_chunks ~chunks:(-1) (fun ~chunk ~rng:_ -> chunk)
            ~rng:(Rng.create 1)))
 
-let test_negative_trials () =
-  Alcotest.check_raises "negative trials rejected"
-    (Invalid_argument "Parallel.count_successes: negative trials") (fun () ->
-      ignore
-        (Parallel.count_successes ~trials:(-2) (fun _ -> true)
-           ~rng:(Rng.create 1)))
-
-let test_zero_trials () =
-  check_int "trials:0 counts 0" 0
-    (Parallel.count_successes ~trials:0 (fun _ -> true) ~rng:(Rng.create 1))
-
 let suite =
   [
     qtest prop_domain_count_invariant;
     qtest prop_chunk_order;
-    qtest prop_count_successes_matches_fold;
+    qtest prop_matches_sequential_fold;
     ("chunks:0", `Quick, test_zero_chunks);
     ("domains:0", `Quick, test_zero_domains);
     ("negative chunks", `Quick, test_negative_chunks);
-    ("negative trials", `Quick, test_negative_trials);
-    ("trials:0", `Quick, test_zero_trials);
   ]

@@ -392,6 +392,35 @@ let qcheck_tests =
         State.apply_xor_if s pred 3;
         State.apply_xor_if s pred 3;
         State.approx_equal s reference);
+    Test.make ~name:"reflect_uniform = H, phase flip off 0, H" ~count:30
+      (pair (int_bound 14) small_nat)
+      (fun (n, seed) ->
+        let rng = Rng.create seed in
+        let amps =
+          Array.init (1 lsl n) (fun _ ->
+              Cplx.make ((2.0 *. Rng.float rng) -. 1.0) ((2.0 *. Rng.float rng) -. 1.0))
+        in
+        let s = State.of_amplitudes amps in
+        let scale = 1.0 /. State.norm s in
+        Array.iteri (fun i c -> State.set_amplitude s i (Cplx.scale scale c)) amps;
+        (* Each form runs on its own copy under its own sink: the states
+           agree to rounding and the gate counts exactly. *)
+        let run f =
+          let c = State.copy s and sink = Obs.create () in
+          Obs.Scope.with_sink sink (fun () -> f c);
+          (c, Obs.count sink "quantum.gates")
+        in
+        List.for_all
+          (fun width ->
+            let fast, g_fast = run (fun c -> State.reflect_uniform c ~width) in
+            let slow, g_slow =
+              run (fun c ->
+                  State.apply_hadamard_block c 0 width;
+                  State.apply_phase_if c (fun idx -> idx land ((1 lsl width) - 1) <> 0);
+                  State.apply_hadamard_block c 0 width)
+            in
+            g_fast = g_slow && State.approx_equal ~eps:1e-10 fast slow)
+          (List.init (n + 1) Fun.id));
   ]
 
 let suite =
