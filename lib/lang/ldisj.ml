@@ -13,10 +13,26 @@ let check_shape { k; x; y } =
   if Bitvec.length x <> m || Bitvec.length y <> m then
     Fmt.invalid_arg "Ldisj: strings must have length 2^(2k) = %d" m
 
+(* A renderer that keeps the last four blocks it drew, keyed by
+   content: [encode] repeats two vectors and
+   [Instance.corrupt_repetition] adds a third, so each is rendered
+   once, not 3 * 2^k times.  A key is a copy, so a [blocks] that
+   hands back one vector with new contents is rendered afresh. *)
+let block_renderer () =
+  let cache = ref [] in
+  fun v ->
+    match List.find_opt (fun (key, _) -> Bitvec.equal key v) !cache with
+    | Some (_, text) -> text
+    | None ->
+        let text = Bitvec.to_string v in
+        cache := (Bitvec.copy v, text) :: List.filteri (fun i _ -> i < 3) !cache;
+        text
+
 let encode_with ~k ~blocks =
   if k < 1 then invalid_arg "Ldisj: k must be >= 1";
   let m = m_of_k k in
   let buf = Buffer.create (string_length ~k) in
+  let render = block_renderer () in
   for _ = 1 to k do
     Buffer.add_char buf '1'
   done;
@@ -25,12 +41,11 @@ let encode_with ~k ~blocks =
     let x, y, z = blocks r in
     if Bitvec.length x <> m || Bitvec.length y <> m || Bitvec.length z <> m then
       invalid_arg "Ldisj.encode_with: block length mismatch";
-    Buffer.add_string buf (Bitvec.to_string x);
-    Buffer.add_char buf '#';
-    Buffer.add_string buf (Bitvec.to_string y);
-    Buffer.add_char buf '#';
-    Buffer.add_string buf (Bitvec.to_string z);
-    Buffer.add_char buf '#'
+    List.iter
+      (fun v ->
+        Buffer.add_string buf (render v);
+        Buffer.add_char buf '#')
+      [ x; y; z ]
   done;
   Buffer.contents buf
 

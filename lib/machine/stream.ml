@@ -51,14 +51,32 @@ let next t =
    leaves it unread, so [next] then decodes it: a '#' as a symbol, a
    bad character as its error at its own [pos].  A generator hands out
    one bit per call, so an exception it raises still surfaces with
-   every earlier symbol already returned. *)
+   every earlier symbol already returned.
+
+   While eight bytes remain before [stop] they are loaded as one
+   little-endian word: if clearing bit 0 of every byte leaves '0' in
+   each, all eight are bits, and the multiply gathers bit 0 of byte
+   [b] at bit [55 + b] (no two partial products meet, so nothing
+   carries).  Any other word, and the last bytes, go through the byte
+   loop. *)
 let next_bits t max =
   let max = Int.min max max_bits in
   match t.src with
   | Bytes_of s ->
       let start = t.pos in
       let stop = Int.min (start + max) (String.length s) in
-      let i = ref start and bits = ref 0 and more = ref true in
+      let i = ref start and bits = ref 0 and words = ref true in
+      while !words && !i + 8 <= stop do
+        let w = String.get_int64_le s !i in
+        if Int64.equal (Int64.logand w 0xFEFE_FEFE_FEFE_FEFEL) 0x3030_3030_3030_3030L
+        then begin
+          let low = Int64.to_int (Int64.logand w 0x0101_0101_0101_0101L) in
+          bits := !bits lor (((low * 0x0081_0204_0810_2040) lsr 55) lsl (!i - start));
+          i := !i + 8
+        end
+        else words := false
+      done;
+      let more = ref true in
       while !more && !i < stop do
         match String.unsafe_get s !i with
         | '0' -> incr i

@@ -31,7 +31,9 @@ val next_bits : t -> int -> int * int
     {e before} a '#', a character outside the alphabet or the end of
     input, so [len = 0] says the next symbol, if any, is not a bit;
     {!next} then returns it or raises its error, with {!pos} at its
-    index.  On a string it reads in place and allocates only the pair.
+    index.  On a string it reads in place, eight bytes per load while
+    they are all bits and lie within [max] (one mask test, one multiply
+    to pack them), then a byte at a time; it allocates only the pair.
     A generator stream ({!of_fn}) returns at most one bit per call: it
     looks one symbol ahead and keeps a non-bit for {!next}, so its
     generator is still called once per position, in order. *)

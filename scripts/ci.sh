@@ -67,8 +67,10 @@ if want tests; then
 
   # dune runtest's benchmark smoke checks seed 2006's digests from
   # bench/e2e/expected.json; the second recorded seed gates here, so
-  # both seeds' reproduce and audit documents are checked on every run.
-  for workload in reproduce audit; do
+  # both seeds' reproduce and audit documents are checked on every run,
+  # and the stream workload's machine verdicts on a second set of
+  # instances.
+  for workload in reproduce audit stream; do
     dune exec bench/e2e/oqsc_bench.exe -- --smoke --seed 7 \
       --workload "$workload" >"$tmp/bench_seed7_$workload.out"
   done

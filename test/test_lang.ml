@@ -215,6 +215,41 @@ let qcheck_tests =
         let x = to_vec xm and y = to_vec ym in
         let input = Lang.Ldisj.encode { Lang.Ldisj.k = 1; x; y } in
         Lang.Ldisj.member input = (xm land ym = 0));
+    Test.make ~name:"encode_with = per-repetition rendering" ~count:200
+      (triple (int_range 1 3) (int_bound 3) (int_bound 1_000_000))
+      (fun (k, kind, seed) ->
+        (* [kind] 0: [encode]'s repeated (x, y, x); 1: one repetition
+           with a flipped copy, as [corrupt_repetition] builds; 2: fresh
+           vectors for every repetition; 3: one vector rewritten in
+           place between calls. *)
+        let rng = Rng.create seed and m = 1 lsl (2 * k) in
+        let x = Bitvec.random rng m and y = Bitvec.random rng m in
+        let victim = Rng.int rng (1 lsl k) in
+        let flipped = Bitvec.copy x in
+        Bitvec.set flipped 0 (not (Bitvec.get x 0));
+        let shared = Bitvec.create m in
+        let blocks r =
+          match kind with
+          | 0 -> (x, y, x)
+          | 1 -> if r = victim then (x, y, flipped) else (x, y, x)
+          | 2 ->
+              let rng = Rng.create (seed + r) in
+              (Bitvec.random rng m, Bitvec.random rng m, Bitvec.random rng m)
+          | _ ->
+              for i = 0 to m - 1 do
+                Bitvec.set shared i (i = r mod m)
+              done;
+              (shared, y, shared)
+        in
+        let plain =
+          String.make k '1' ^ "#"
+          ^ String.concat ""
+              (List.init (1 lsl k) (fun r ->
+                   let x, y, z = blocks r in
+                   String.concat ""
+                     (List.map (fun v -> Bitvec.to_string v ^ "#") [ x; y; z ])))
+        in
+        String.equal (Lang.Ldisj.encode_with ~k ~blocks) plain);
   ]
 
 let suite =

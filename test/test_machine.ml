@@ -252,6 +252,28 @@ let stream_qcheck_tests =
       (string_gen_of_size Gen.(0 -- 150) (Gen.oneofl [ '0'; '1'; '1'; '0'; '#'; 'x' ]))
       (list_of_size Gen.(0 -- 8) (int_range (-1) 70))
   in
+  (* Runs of up to 140 bits with one '#' or bad character somewhere, so
+     the string reader's eight-byte loads are reached, cut short by
+     [max] and by the non-bit; the first [max] of 1..7 starts every
+     later read off a multiple of 8.  '\xb1' is '1' with the top bit
+     set, the bit a 63-bit int drops from the eighth byte. *)
+  let long_run_case =
+    let gen =
+      Gen.(
+        let* n = 0 -- 140 in
+        let* run = string_size ~gen:(oneofl [ '0'; '1' ]) (return n) in
+        let* at = 0 -- n and* stop = oneofl [ "#"; "x"; "\xb1" ] in
+        let* first = 1 -- 7 and* maxes = list_size (0 -- 8) (-1 -- 70) in
+        return
+          ( String.sub run 0 at ^ stop ^ String.sub run at (n - at),
+            first :: maxes ))
+    in
+    make
+      ~print:(fun (str, maxes) ->
+        Printf.sprintf "%S, max %s" str
+          (String.concat " " (List.map string_of_int maxes)))
+      gen
+  in
   [
     Test.make ~name:"stream of_string = of_fn on {0,1,#}" ~count:300
       (case [ '0'; '1'; '#' ]) agree;
@@ -262,6 +284,9 @@ let stream_qcheck_tests =
         let reference = by_symbol (Stream.of_string str) in
         drain_by_bits maxes (Stream.of_string str) = reference
         && drain_by_bits maxes (stream_by_fn str) = reference);
+    Test.make ~name:"stream next_bits = next, on long bit runs" ~count:500
+      long_run_case (fun (str, maxes) ->
+        drain_by_bits maxes (Stream.of_string str) = by_symbol (Stream.of_string str));
   ]
 
 let test_stream_bad_char_position () =

@@ -278,16 +278,22 @@ let chained_step ~prime ~point ~pow ~acc ~bits ~len =
   done;
   (!pow, !acc)
 
+(* The primes on both sides of Shoup's limit: 2^31 - 1 is the largest
+   with a reciprocal, and the prime after 2^31 the smallest without. *)
+let boundary_primes = [ (1 lsl 31) - 1; Primes.next_prime (1 lsl 31) ]
+
 let step_case =
   let open QCheck.Gen in
-  int_range 1 8 >>= fun k ->
-  let prime = Primes.fingerprint_prime k in
+  let* prime =
+    oneof
+      [ map Primes.fingerprint_prime (int_range 1 8); oneofl boundary_primes ]
+  in
   let residue = int_bound (prime - 1) in
-  let* point = oneof [ return 0; return 1; return (prime - 1); residue ] in
-  let* pow = residue and* acc = residue and* len = int_range 1 62 in
-  let ones = (1 lsl len) - 1 in
+  let operand = oneof [ return 0; return 1; return (prime - 1); residue ] in
+  let* point = operand and* pow = operand and* acc = operand in
+  let ones = (1 lsl 62) - 1 in
   let* bits = oneof [ return 0; return ones; map (fun b -> b land ones) int ] in
-  return (k, point, pow, acc, bits, len)
+  return (prime, point, pow, acc, bits)
 
 let drive_qcheck_tests =
   let open QCheck in
@@ -300,20 +306,20 @@ let drive_qcheck_tests =
   [
     Test.make ~name:"a2 word step = chained mulmod/addmod" ~count:500
       (make
-         ~print:(fun (k, point, pow, acc, bits, len) ->
-           Printf.sprintf "k %d point %d pow %d acc %d bits %#x len %d" k point pow
-             acc bits len)
+         ~print:(fun (prime, point, pow, acc, bits) ->
+           Printf.sprintf "p %d point %d pow %d acc %d bits %#x" prime point pow acc
+             bits)
          step_case)
-      (fun (k, point, pow, acc, bits, len) ->
-        (* Every prefix of the word: a step that leaves a value in
-           [p, 2p) can be absorbed by the next one, so only checking
+      (fun (prime, point, pow, acc, bits) ->
+        (* Every prefix of the word, so every [len] 0..62 and every
+           remainder modulo the lane count: a step that leaves a value
+           in [p, 2p) can be absorbed by the next one, so only checking
            the end would miss it. *)
-        let prime = Primes.fingerprint_prime k in
         List.for_all
           (fun len ->
             Oqsc.A2.step_word ~prime ~point ~pow ~acc ~bits ~len
             = chained_step ~prime ~point ~pow ~acc ~bits ~len)
-          (List.init len succ));
+          (List.init 63 Fun.id));
     Test.make ~name:"a1 drive = feed, with A2 and A3" ~count:200 case
       (fun (seed, kind, use_fn) ->
         let input = drive_input ~seed ~kind in
