@@ -5,7 +5,8 @@
              malformed) on stdout
      run   - run a recognizer (quantum / block / naive / sketch) on an input
      ne    - decide the L_NE extension language nondeterministically
-     run-all - run experiments across domains, emit/check JSON results,
+     run-all - run experiments across domains and print their tables
+             (--only ID for one), emit/check JSON results,
              optionally record a Chrome trace timeline (--trace); --shard
              I/N runs one process-level shard of the selection
      space-audit - fit space-scaling exponents and gate them against
@@ -14,7 +15,6 @@
      merge - recombine a complete --shard document set into bytes
              identical to the unsharded run
      trace-lint - structurally validate an oqsc-trace document
-     exp   - run one experiment (e1..e15) or all of them
      serve - long-lived batched experiment service (NDJSON on
              stdin/stdout, or length-prefixed frames on --socket);
              wire protocol in docs/PROTOCOL.md
@@ -565,27 +565,6 @@ let log_lint_cmd =
          "Validate an NDJSON request log written by serve --log: every event carries the documented key set for its kind, seq counts from 0 with no gaps, and timestamps are nondecreasing (docs/SCHEMA.md, \"Request-log events\").")
     Term.(ret (const action $ file))
 
-(* ------------------------------------------------------------------ exp *)
-
-let exp_cmd =
-  let id =
-    Arg.(value & pos 0 string "all" & info [] ~docv:"ID" ~doc:"Experiment id (e1..e15) or 'all'.")
-  in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps and trial counts.") in
-  let seed = Arg.(value & opt int 2006 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let action id quick seed =
-    let fmt = Format.std_formatter in
-    try
-      if String.equal id "all" then Experiments.Registry.run_all ~quick ~seed fmt
-      else Experiments.Registry.run ~quick ~seed id fmt;
-      `Ok ()
-    with Not_found ->
-      `Error (false, Printf.sprintf "unknown experiment %S; try 'oqsc ids'" id)
-  in
-  Cmd.v
-    (Cmd.info "exp" ~doc:"Run one experiment (or all) and print its table.")
-    Term.(ret (const action $ id $ quick $ seed))
-
 (* ---------------------------------------------------------------- serve *)
 
 let serve_cmd =
@@ -892,6 +871,6 @@ let ids_cmd =
 let main =
   let doc = "quantum vs classical online space complexity (Le Gall, SPAA 2006) — reproduction" in
   Cmd.group (Cmd.info "oqsc" ~version:"1.0.0" ~doc)
-    [ gen_cmd; run_cmd; run_all_cmd; space_audit_cmd; merge_cmd; trace_lint_cmd; log_lint_cmd; exp_cmd; ne_cmd; serve_cmd; bench_serve_cmd; ids_cmd ]
+    [ gen_cmd; run_cmd; run_all_cmd; space_audit_cmd; merge_cmd; trace_lint_cmd; log_lint_cmd; ne_cmd; serve_cmd; bench_serve_cmd; ids_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -125,8 +125,9 @@ let iter_set_bits f ~idx bits =
   done
 
 (* Inside a block, [drive] asks the stream for the run of bits up to
-   the block end or the next multiple of 62, whichever comes first,
-   and turns it into one role: A1's registers are read and [idx]
+   the block end or the next multiple of 62, whichever comes first
+   (it may hand back fewer, at the end of a string; the loop asks
+   again), and turns it into one role: A1's registers are read and [idx]
    written once per word.  Everything else (a separator, a bit past
    the block end, a bad character, the prefix) goes through [feed]
    one symbol at a time, so the two agree on every input. *)

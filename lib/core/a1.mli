@@ -63,10 +63,13 @@ val drive :
     started.
 
     Inside a block it reads the input a word at a time
-    ({!Machine.Stream.next_bits}): each [Block_bits] role runs up to
-    the block end or up to the next index that is a multiple of 62,
-    whichever comes first, so a word never crosses either.  All other
-    symbols go through {!feed} one at a time.  The roles, expanded bit
+    ({!Machine.Stream.next_bits}): each [Block_bits] role runs at most
+    up to the block end or up to the next index that is a multiple of
+    62, whichever comes first, so a word never crosses either.  A word
+    also ends where the stream's current string does, and the next
+    word picks up from the next string; observers see shorter words,
+    never different bits.  All other symbols go through {!feed} one at
+    a time.  The roles, expanded bit
     by bit, A1's final state, and an input error (raised with
     {!Machine.Stream.pos} at the bad character, after every earlier
     role was observed) are those of feeding the stream symbol by

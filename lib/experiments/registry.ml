@@ -154,8 +154,3 @@ let results ?(quick = false) ?(seed = 2006) ?domains ?only () : Report.t list =
    CI byte-comparison rest on. *)
 let document ?(quick = false) ?(seed = 2006) id : Json.t =
   Json.of_results ~seed ~quick [ result ~quick ~seed id ]
-
-let run ?quick ?seed id fmt = Report.render fmt (result ?quick ?seed id)
-
-let run_all ?quick ?seed fmt =
-  List.iter (Report.render fmt) (results ?quick ?seed ())

@@ -48,9 +48,3 @@ val document : ?quick:bool -> ?seed:int -> string -> Json.t
     against the one-shot CLI with [cmp].  Defaults match [run-all]:
     seed 2006, quick = false.  @raise Not_found for unknown ids. *)
 
-val run : ?quick:bool -> ?seed:int -> string -> Format.formatter -> unit
-(** Runs one experiment and prints its table.  @raise Not_found. *)
-
-val run_all : ?quick:bool -> ?seed:int -> Format.formatter -> unit
-(** Runs every experiment (in parallel) and prints the tables in
-    catalogue order. *)

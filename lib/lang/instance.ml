@@ -52,54 +52,45 @@ let sparse_pair rng ~k ~weight =
   let label = if t = 0 then In_language else Not_in_language (Intersecting t) in
   { input; label; k }
 
+(* The base is parsed only to check it and learn k; the defect is one
+   byte of a copy of its input, found through [Ldisj.offset]. *)
 let corrupt_repetition rng ~base =
   match Ldisj.parse base.input with
   | Error reason ->
       Fmt.invalid_arg "Instance.corrupt_repetition: base is not well-formed (%s)" reason
-  | Ok { Ldisj.k; x; y } ->
-      let m = m_of_k k and reps = 1 lsl k in
-      let victim_rep = Rng.int rng reps in
+  | Ok { Ldisj.k; _ } ->
+      let victim_rep = Rng.int rng (1 lsl k) in
       let victim_copy = Rng.int rng 3 in
-      let victim_bit = Rng.int rng m in
-      let flip v =
-        let v' = Bitvec.copy v in
-        Bitvec.set v' victim_bit (not (Bitvec.get v' victim_bit));
-        v'
-      in
-      let blocks r =
-        if r <> victim_rep then (x, y, x)
-        else
-          match victim_copy with
-          | 0 -> (flip x, y, x)
-          | 1 -> (x, flip y, x)
-          | _ -> (x, y, flip x)
-      in
-      let input = Ldisj.encode_with ~k ~blocks in
+      let victim_bit = Rng.int rng (m_of_k k) in
+      let b = Bytes.of_string base.input in
+      let at = Ldisj.offset ~k ~rep:victim_rep ~copy:victim_copy ~idx:victim_bit in
+      Bytes.set b at (if Bytes.get b at = '0' then '1' else '0');
       let what =
         Printf.sprintf "bit %d of copy %d in repetition %d flipped" victim_bit
           victim_copy victim_rep
       in
-      { input; label = Not_in_language (Inconsistent what); k }
+      { input = Bytes.to_string b; label = Not_in_language (Inconsistent what); k }
 
 let malformed rng ~k =
   let m = m_of_k k in
   let base = disjoint_pair rng ~k in
   let s = base.input in
   let defect = Rng.int rng 5 in
+  let replace at c =
+    let b = Bytes.of_string s in
+    Bytes.set b at c;
+    Bytes.to_string b
+  in
   let input, what =
     match defect with
     | 0 -> (String.sub s 0 (String.length s - 1), "truncated final symbol")
     | 1 -> (s ^ "0", "trailing garbage")
     | 2 ->
-        (* Replace the '#' after the 1^k prefix by a 0: no prefix separator. *)
-        let b = Bytes.of_string s in
-        Bytes.set b k '0';
-        (Bytes.to_string b, "missing prefix separator")
+        ( replace (Ldisj.offset ~k ~rep:0 ~copy:0 ~idx:(-1)) '0',
+          "missing prefix separator" )
     | 3 ->
-        (* Damage a separator inside the first repetition. *)
-        let b = Bytes.of_string s in
-        Bytes.set b (k + 1 + m) '1';
-        (Bytes.to_string b, "separator replaced inside repetition")
+        ( replace (Ldisj.offset ~k ~rep:0 ~copy:0 ~idx:m) '1',
+          "separator replaced inside repetition" )
     | _ ->
         (* Claim k+1 with blocks sized for k: length mismatch. *)
         ("1" ^ s, "inflated 1-run")

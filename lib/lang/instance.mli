@@ -30,11 +30,17 @@ val sparse_pair : Mathx.Rng.t -> k:int -> weight:int -> t
 
 val corrupt_repetition : Mathx.Rng.t -> base:t -> t
 (** Flips one bit in one copy of one repetition of a well-formed input,
-    breaking condition (ii) or (iii); not in L_DISJ. *)
+    breaking condition (ii) or (iii); not in L_DISJ.  The result is
+    [base.input] with exactly one byte changed, at the
+    {!Ldisj.offset} that its label's "bit [b] of copy [c] in
+    repetition [r]" names; nothing is re-encoded.
+    @raise Invalid_argument if {!Ldisj.parse} rejects [base.input]. *)
 
 val malformed : Mathx.Rng.t -> k:int -> t
 (** Structurally broken input (wrong block length, missing separator,
-    truncation...), sampled from a fixed catalogue of defect types. *)
+    truncation...), sampled from a fixed catalogue of defect types.  The
+    separator defects are placed with {!Ldisj.offset}, so the layout is
+    spelled out only in {!Ldisj}. *)
 
 val standard_suite : Mathx.Rng.t -> k:int -> t list
 (** The mixed workload used by experiments E3/E4: members, intersecting

@@ -13,71 +13,33 @@ let check_shape { k; x; y } =
   if Bitvec.length x <> m || Bitvec.length y <> m then
     Fmt.invalid_arg "Ldisj: strings must have length 2^(2k) = %d" m
 
-(* A renderer that keeps the last four blocks it drew, keyed by
-   content: [encode] repeats two vectors and
-   [Instance.corrupt_repetition] adds a third, so each is rendered
-   once, not 3 * 2^k times.  A key is a copy, so a [blocks] that
-   hands back one vector with new contents is rendered afresh. *)
-let block_renderer () =
-  let cache = ref [] in
-  fun v ->
-    match List.find_opt (fun (key, _) -> Bitvec.equal key v) !cache with
-    | Some (_, text) -> text
-    | None ->
-        let text = Bitvec.to_string v in
-        cache := (Bitvec.copy v, text) :: List.filteri (fun i _ -> i < 3) !cache;
-        text
-
-let encode_with ~k ~blocks =
-  if k < 1 then invalid_arg "Ldisj: k must be >= 1";
-  let m = m_of_k k in
-  let buf = Buffer.create (string_length ~k) in
-  let render = block_renderer () in
-  for _ = 1 to k do
-    Buffer.add_char buf '1'
-  done;
-  Buffer.add_char buf '#';
-  for r = 0 to reps_of_k k - 1 do
-    let x, y, z = blocks r in
-    if Bitvec.length x <> m || Bitvec.length y <> m || Bitvec.length z <> m then
-      invalid_arg "Ldisj.encode_with: block length mismatch";
-    List.iter
-      (fun v ->
-        Buffer.add_string buf (render v);
-        Buffer.add_char buf '#')
-      [ x; y; z ]
-  done;
-  Buffer.contents buf
-
-let encode shape =
+(* The layout, defined once: [1^k#], then [x#], [y#], [x#] for each
+   of the 2^k repetitions.  [x#] and [y#] are rendered once and shared
+   by every repetition. *)
+let pieces shape =
   check_shape shape;
-  encode_with ~k:shape.k ~blocks:(fun _ -> (shape.x, shape.y, shape.x))
+  let x = Bitvec.to_string shape.x ^ "#" and y = Bitvec.to_string shape.y ^ "#" in
+  (String.make shape.k '1' ^ "#")
+  :: List.concat (List.init (reps_of_k shape.k) (fun _ -> [ x; y; x ]))
+
+let encode shape = String.concat "" (pieces shape)
 
 let disj x y = Bitvec.disjoint x y
 
 let stream shape =
-  check_shape shape;
-  let { k; x; y } = shape in
+  let rest = ref (pieces shape) in
+  Machine.Stream.of_chunks (fun () ->
+      match !rest with
+      | [] -> None
+      | piece :: more ->
+          rest := more;
+          Some piece)
+
+let offset ~k ~rep ~copy ~idx =
   let m = m_of_k k in
-  let seg_len = m + 1 in
-  let rep_len = 3 * seg_len in
-  let total = string_length ~k in
-  let symbol_at pos =
-    if pos >= total then None
-    else if pos < k then Some Machine.Symbol.One
-    else if pos = k then Some Machine.Symbol.Hash
-    else begin
-      let off = pos - k - 1 in
-      let within = off mod rep_len in
-      let seg = within / seg_len and idx = within mod seg_len in
-      if idx = m then Some Machine.Symbol.Hash
-      else begin
-        let v = if seg = 1 then y else x in
-        Some (Machine.Symbol.of_bit (Bitvec.get v idx))
-      end
-    end
-  in
-  Machine.Stream.of_fn symbol_at
+  if rep < 0 || rep >= reps_of_k k || copy < 0 || copy > 2 || idx < -1 || idx > m then
+    invalid_arg "Ldisj.offset: position outside the layout";
+  k + 1 + (((3 * rep) + copy) * (m + 1)) + idx
 
 (* Shape scan: condition (i) only.  Returns k and the raw blocks. *)
 let scan input =

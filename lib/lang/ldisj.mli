@@ -20,21 +20,28 @@ val string_length : k:int -> int
     [k + 1 + 2^k * (3 * 2^{2k} + 3)]. *)
 
 val encode : shape -> string
-(** Serialises [1^k#(x#y#x#)^{2^k}].
-    @raise Invalid_argument if the vector lengths are not [2^{2k}]. *)
-
-val encode_with :
-  k:int -> blocks:(int -> Mathx.Bitvec.t * Mathx.Bitvec.t * Mathx.Bitvec.t) -> string
-(** General form for building {e corrupted} inputs: repetition [r]
-    (0-based) is written as [x_r#y_r#z_r#] where
-    [(x_r, y_r, z_r) = blocks r].  Syntactically valid (condition (i)) but
-    conditions (ii)/(iii) hold only if all blocks agree. *)
+(** Serialises [1^k#(x#y#x#)^{2^k}].  The layout is defined once, as a
+    list of strings: [1^k#], then [x#], [y#], [x#] for each repetition,
+    with [x] and [y] each rendered once; [encode] concatenates it and
+    {!stream} serves it.
+    @raise Invalid_argument if [k < 1] or the vector lengths are not
+    [2^{2k}]. *)
 
 val stream : shape -> Machine.Stream.t
-(** One-way stream of the encoded input, generated symbol by symbol
-    without materialising the string — inputs far longer than memory, as
-    the streaming model intends.  Agrees with {!encode} position by
-    position. *)
+(** One-way stream of the encoded input: the strings of {!encode}'s
+    layout, handed out one at a time through {!Machine.Stream.of_chunks}
+    and read in place.  It holds [x#] and [y#] (O(2^{2k}) bytes), never
+    the O(2^{3k}) input.  Agrees with {!encode} position by position.
+    @raise Invalid_argument as {!encode}. *)
+
+val offset : k:int -> rep:int -> copy:int -> idx:int -> int
+(** [offset ~k ~rep ~copy ~idx] is the index in {!encode}'s output of
+    bit [idx] of copy [copy] (0 = [x], 1 = [y], 2 = the second [x]) in
+    repetition [rep] (0-based).  [idx = 2^{2k}] names the '#' that ends
+    the copy and [idx = -1] the '#' before it: for repetition 0, copy 0,
+    the separator after [1^k].
+    @raise Invalid_argument outside [0 <= rep < 2^k], [0 <= copy <= 2],
+    [-1 <= idx <= 2^{2k}]. *)
 
 val well_shaped : string -> bool
 (** Condition (i) of the Theorem 3.4 proof alone: the input has the exact

@@ -1,25 +1,34 @@
-(* A string-backed stream reads its bytes in place: [iter], and so
-   [fold], loops over them with no option or closure per symbol.
-   [pos] moves past a symbol only once it has decoded, so a bad
-   character leaves [pos] at its own index, as a raising generator
-   does.  A generator is asked for each position once: [next_bits]
-   may look one symbol ahead, and [ahead] holds that answer for
-   [next]. *)
-type gen = { f : int -> Symbol.t option; mutable ahead : Symbol.t option option }
-type source = Bytes_of of string | Gen of gen
-type t = { mutable pos : int; src : source }
+(* One source representation: the string being read, the index of
+   its next byte and the symbols before it.  Every reader works on
+   [s] in place; when [s] is used up, [advance] asks for the next
+   non-empty string, so the hot path pays one length compare to stay
+   in the current one.  [pos] moves past a symbol only once it has
+   decoded, so a bad character leaves [pos] at its own global index. *)
+type t = {
+  mutable s : string;
+  mutable i : int;
+  mutable base : int;
+  mutable more : unit -> string option;
+}
 
-let of_string s = { pos = 0; src = Bytes_of s }
-let of_fn f = { pos = 0; src = Gen { f; ahead = None } }
+let no_more () = None
+let of_string s = { s; i = 0; base = 0; more = no_more }
+let of_chunks more = { s = ""; i = 0; base = 0; more }
 
 let max_bits = 62
 
-let pull g pos =
-  match g.ahead with
-  | Some answer ->
-      g.ahead <- None;
-      answer
-  | None -> g.f pos
+(* Moves to the next non-empty string; false, and no further calls to
+   the source, once it is exhausted. *)
+let rec advance t =
+  match t.more () with
+  | None ->
+      t.more <- no_more;
+      false
+  | Some s ->
+      t.base <- t.base + t.i;
+      t.s <- s;
+      t.i <- 0;
+      String.length s > 0 || advance t
 
 (* [Symbol.of_char], decoded here so the hot loop makes no call
    across modules (dev builds are [-opaque]); a bad character still
@@ -31,27 +40,19 @@ let[@inline] decode c =
   | '#' -> Symbol.Hash
   | c -> Symbol.of_char c
 
-let next t =
-  match t.src with
-  | Bytes_of s ->
-      if t.pos < String.length s then begin
-        let sym = decode (String.unsafe_get s t.pos) in
-        t.pos <- t.pos + 1;
-        Some sym
-      end
-      else None
-  | Gen g -> (
-      match pull g t.pos with
-      | Some sym ->
-          t.pos <- t.pos + 1;
-          Some sym
-      | None -> None)
+let rec next t =
+  if t.i < String.length t.s then begin
+    let sym = decode (String.unsafe_get t.s t.i) in
+    t.i <- t.i + 1;
+    Some sym
+  end
+  else if advance t then next t
+  else None
 
-(* The string loop stops at the first byte that is not a bit and
-   leaves it unread, so [next] then decodes it: a '#' as a symbol, a
-   bad character as its error at its own [pos].  A generator hands out
-   one bit per call, so an exception it raises still surfaces with
-   every earlier symbol already returned.
+(* The loop stops at the first byte that is not a bit, or at the end
+   of the current string, and leaves it unread, so [next] then decodes
+   it: a '#' as a symbol, a bad character as its error at its own
+   [pos].
 
    While eight bytes remain before [stop] they are loaded as one
    little-endian word: if clearing bit 0 of every byte leaves '0' in
@@ -60,67 +61,42 @@ let next t =
    carries).  Any other word, and the last bytes, go through the byte
    loop. *)
 let next_bits t max =
-  let max = Int.min max max_bits in
-  match t.src with
-  | Bytes_of s ->
-      let start = t.pos in
-      let stop = Int.min (start + max) (String.length s) in
-      let i = ref start and bits = ref 0 and words = ref true in
-      while !words && !i + 8 <= stop do
-        let w = String.get_int64_le s !i in
-        if Int64.equal (Int64.logand w 0xFEFE_FEFE_FEFE_FEFEL) 0x3030_3030_3030_3030L
-        then begin
-          let low = Int64.to_int (Int64.logand w 0x0101_0101_0101_0101L) in
-          bits := !bits lor (((low * 0x0081_0204_0810_2040) lsr 55) lsl (!i - start));
-          i := !i + 8
-        end
-        else words := false
-      done;
-      let more = ref true in
-      while !more && !i < stop do
-        match String.unsafe_get s !i with
-        | '0' -> incr i
-        | '1' ->
-            bits := !bits lor (1 lsl (!i - start));
-            incr i
-        | _ -> more := false
-      done;
-      t.pos <- !i;
-      (!bits, !i - start)
-  | Gen g ->
-      if max < 1 then (0, 0)
-      else begin
-        let answer = pull g t.pos in
-        match answer with
-        | Some ((Symbol.Zero | Symbol.One) as sym) ->
-            t.pos <- t.pos + 1;
-            ((if sym = Symbol.One then 1 else 0), 1)
-        | _ ->
-            g.ahead <- Some answer;
-            (0, 0)
+  if t.i >= String.length t.s && not (advance t) then (0, 0)
+  else begin
+    let s = t.s and start = t.i in
+    let stop = Int.min (start + Int.min max max_bits) (String.length s) in
+    let i = ref start and bits = ref 0 and words = ref true in
+    while !words && !i + 8 <= stop do
+      let w = String.get_int64_le s !i in
+      if Int64.equal (Int64.logand w 0xFEFE_FEFE_FEFE_FEFEL) 0x3030_3030_3030_3030L
+      then begin
+        let low = Int64.to_int (Int64.logand w 0x0101_0101_0101_0101L) in
+        bits := !bits lor (((low * 0x0081_0204_0810_2040) lsr 55) lsl (!i - start));
+        i := !i + 8
       end
+      else words := false
+    done;
+    let more = ref true in
+    while !more && !i < stop do
+      match String.unsafe_get s !i with
+      | '0' -> incr i
+      | '1' ->
+          bits := !bits lor (1 lsl (!i - start));
+          incr i
+      | _ -> more := false
+    done;
+    t.i <- !i;
+    (!bits, !i - start)
+  end
 
-let pos t = t.pos
+let pos t = t.base + t.i
 
-let iter f t =
-  match t.src with
-  | Bytes_of s ->
-      while t.pos < String.length s do
-        let sym = decode (String.unsafe_get s t.pos) in
-        t.pos <- t.pos + 1;
-        f sym
-      done
-  | Gen _ ->
-      let rec loop () =
-        match next t with
-        | Some sym ->
-            f sym;
-            loop ()
-        | None -> ()
-      in
-      loop ()
-
-let fold f acc t =
-  let acc = ref acc in
-  iter (fun sym -> acc := f !acc sym) t;
-  !acc
+(* [f] may itself read from [t], so the loop re-reads [t.s] rather
+   than keeping a string that [advance] may have replaced. *)
+let rec iter f t =
+  while t.i < String.length t.s do
+    let sym = decode (String.unsafe_get t.s t.i) in
+    t.i <- t.i + 1;
+    f sym
+  done;
+  if advance t then iter f t

@@ -413,7 +413,10 @@ module Metrics = struct
      imported; test/test_metrics.ml pins the two together). *)
   let float_repr v =
     if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-    else Printf.sprintf "%.12g" v
+    else
+      let s = Printf.sprintf "%.12g" v in
+      if String.for_all (function '-' | '0' .. '9' -> true | _ -> false) s then s ^ ".0"
+      else s
 
   let to_prometheus snap =
     let b = Buffer.create 1024 in

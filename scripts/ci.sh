@@ -102,6 +102,23 @@ if want smoke; then
   dune exec bin/oqsc_cli.exe -- run --algo block --input "$tmp/input.txt" \
     >"$tmp/run_block.out"
 
+  # Every generated kind through the two deterministic classical
+  # machines: the verdict must be the ground truth the run prints.
+  for kind in member intersect corrupt malformed; do
+    dune exec bin/oqsc_cli.exe -- gen -k 3 --kind "$kind" >"$tmp/gen_$kind.txt"
+    for algo in block naive; do
+      out="$tmp/run_${algo}_$kind.out"
+      dune exec bin/oqsc_cli.exe -- run --algo "$algo" --input "$tmp/gen_$kind.txt" >"$out"
+      verdict="$(sed -n 's/^verdict: //p' "$out")"
+      truth="$(sed -n 's/^ground truth: //p' "$out")"
+      if [ -z "$verdict" ] || [ "$verdict" != "$truth" ]; then
+        echo "run --algo $algo on a $kind instance: verdict '$verdict'," \
+          "ground truth '$truth'" >&2
+        exit 1
+      fi
+    done
+  done
+
   # Every example executable must run to a zero exit status;
   # circuit_dump is the one caller of A3's circuit-recording path.
   for src in examples/*.ml; do

@@ -165,8 +165,9 @@ let test_stream_generated_length_matches_formula () =
     let m = 1 lsl (2 * k) in
     let x = Bitvec.random rng m and y = Bitvec.random rng m in
     let stream = Lang.Ldisj.stream { Lang.Ldisj.k; x; y } in
-    let count = Machine.Stream.fold (fun acc _ -> acc + 1) 0 stream in
-    check_int (Printf.sprintf "k=%d" k) (Lang.Ldisj.string_length ~k) count
+    let count = ref 0 in
+    Machine.Stream.iter (fun _ -> incr count) stream;
+    check_int (Printf.sprintf "k=%d" k) (Lang.Ldisj.string_length ~k) !count
   done
 
 let test_optm_validate_catches_bad_distribution () =
@@ -200,14 +201,40 @@ let test_malformed_reasons_are_recorded () =
     | _ -> Alcotest.fail "malformed instances must carry a Malformed label"
   done
 
-let test_encode_with_rejects_bad_blocks () =
-  check "length mismatch" true
-    (match
-       Lang.Ldisj.encode_with ~k:1 ~blocks:(fun _ ->
-           (Bitvec.create 4, Bitvec.create 3, Bitvec.create 4))
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+(* [corrupt_repetition] changes exactly the one byte its label names,
+   and only a base that parses is corrupted. *)
+let test_corrupt_repetition_flips_one_byte () =
+  let rng = Rng.create 47 in
+  for k = 1 to 3 do
+    for _ = 1 to 20 do
+      let base = Lang.Instance.disjoint_pair (Rng.split rng) ~k in
+      let c = Lang.Instance.corrupt_repetition (Rng.split rng) ~base in
+      let idx, copy, rep =
+        match c.Lang.Instance.label with
+        | Lang.Instance.Not_in_language (Lang.Instance.Inconsistent what) ->
+            Scanf.sscanf what "bit %d of copy %d in repetition %d flipped%!"
+              (fun b c r -> (b, c, r))
+        | _ -> Alcotest.fail "corrupt_repetition must carry an Inconsistent label"
+      in
+      let input = c.Lang.Instance.input in
+      let differ =
+        List.filter
+          (fun i -> input.[i] <> base.Lang.Instance.input.[i])
+          (List.init (String.length input) Fun.id)
+      in
+      check "same length" true (String.length input = String.length base.Lang.Instance.input);
+      check "exactly the labelled byte differs" true
+        (differ = [ Lang.Ldisj.offset ~k ~rep ~copy ~idx ]);
+      check "parse rejects it" true (Result.is_error (Lang.Ldisj.parse input))
+    done
+  done;
+  Alcotest.check_raises "a base that does not parse"
+    (Invalid_argument
+       "Instance.corrupt_repetition: base is not well-formed (no leading 1-run)")
+    (fun () ->
+      ignore
+        (Lang.Instance.corrupt_repetition rng
+           ~base:{ Lang.Instance.input = "01"; label = Lang.Instance.In_language; k = 1 }))
 
 (* ----------------------------------------------------------------- core *)
 
@@ -270,7 +297,7 @@ let suite =
     ("stream length formula", `Quick, test_stream_generated_length_matches_formula);
     ("optm validate distribution", `Quick, test_optm_validate_catches_bad_distribution);
     ("malformed reasons", `Quick, test_malformed_reasons_are_recorded);
-    ("encode_with guards", `Quick, test_encode_with_rejects_bad_blocks);
+    ("corrupt_repetition one byte", `Quick, test_corrupt_repetition_flips_one_byte);
     ("a2 bad role", `Quick, test_a2_bad_role_fails_verdict);
     ("recognizer k on garbage", `Quick, test_recognizer_reports_k_none_on_garbage);
     ("def23 budget flag", `Quick, test_def23_non_halting_out_of_budget);

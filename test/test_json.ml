@@ -38,7 +38,26 @@ let test_float_format () =
   check_str "integral float keeps .0" "{\n  \"x\": 2.0\n}\n"
     (Json.to_string (Json.Obj [ ("x", Json.Float 2.0) ]));
   check_str "non-finite becomes null" "{\n  \"x\": null\n}\n"
-    (Json.to_string (Json.Obj [ ("x", Json.Float Float.nan) ]))
+    (Json.to_string (Json.Obj [ ("x", Json.Float Float.nan) ]));
+  check_str "one ulp off an integer prints as that integer" "{\n  \"x\": 1.0\n}\n"
+    (Json.to_string (Json.Obj [ ("x", Json.Float (Float.succ 1.0)) ]));
+  (* Exact and near integers on both sides of the 1e15 switch, twelve
+     significant digits of a non-integer, and random magnitudes: each
+     must come back as a [Float], never an [Int]. *)
+  let rng = Mathx.Rng.create 5 in
+  let near n = [ n; Float.pred n; Float.succ n; -.Float.succ n ] in
+  let samples =
+    List.concat_map near [ 0.0; 1.0; 7.0; 1e12; 1e15; 1e16; 123456789012.0 ]
+    @ [ 123456789012.5; 0.5; 1e-300; Float.max_float; Float.min_float ]
+    @ List.init 200 (fun i ->
+          Float.ldexp (Mathx.Rng.float rng -. 0.5) ((i mod 120) - 60))
+  in
+  List.iter
+    (fun v ->
+      match Json.parse (Json.to_string (Json.Float v)) with
+      | Ok (Json.Float _) -> ()
+      | _ -> Alcotest.failf "%h does not re-parse as a Float" v)
+    samples
 
 let test_parse_roundtrip () =
   match Json.parse (Json.to_string sample) with

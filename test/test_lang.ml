@@ -64,17 +64,19 @@ let test_parse_rejections () =
     cases
 
 let test_parse_detects_inconsistency () =
-  (* Different y in the second repetition. *)
   let x = Bitvec.of_string "0000" and y = Bitvec.of_string "1111" in
-  let y' = Bitvec.of_string "1110" in
-  let input =
-    Lang.Ldisj.encode_with ~k:1 ~blocks:(fun r -> if r = 0 then (x, y, x) else (x, y', x))
+  let good = Lang.Ldisj.encode { Lang.Ldisj.k = 1; x; y } in
+  let flip ~rep ~copy ~idx =
+    let b = Bytes.of_string good in
+    let at = Lang.Ldisj.offset ~k:1 ~rep ~copy ~idx in
+    Bytes.set b at (if good.[at] = '0' then '1' else '0');
+    Lang.Ldisj.parse (Bytes.to_string b)
   in
-  check "inconsistent rejected" true (Result.is_error (Lang.Ldisj.parse input));
-  (* z different from x inside a repetition. *)
-  let z = Bitvec.of_string "0001" in
-  let input2 = Lang.Ldisj.encode_with ~k:1 ~blocks:(fun _ -> (x, y, z)) in
-  check "x<>z rejected" true (Result.is_error (Lang.Ldisj.parse input2))
+  let reason = function Error r -> r | Ok _ -> "accepted" in
+  Alcotest.(check string) "different y in the second repetition"
+    "y differs in repetition 1" (reason (flip ~rep:1 ~copy:1 ~idx:3));
+  Alcotest.(check string) "z different from x inside a repetition"
+    "x <> z in repetition 0" (reason (flip ~rep:0 ~copy:2 ~idx:3))
 
 let test_member_semantics () =
   let x = Bitvec.of_string "1010" and y = Bitvec.of_string "0101" in
@@ -215,41 +217,38 @@ let qcheck_tests =
         let x = to_vec xm and y = to_vec ym in
         let input = Lang.Ldisj.encode { Lang.Ldisj.k = 1; x; y } in
         Lang.Ldisj.member input = (xm land ym = 0));
-    Test.make ~name:"encode_with = per-repetition rendering" ~count:200
-      (triple (int_range 1 3) (int_bound 3) (int_bound 1_000_000))
-      (fun (k, kind, seed) ->
-        (* [kind] 0: [encode]'s repeated (x, y, x); 1: one repetition
-           with a flipped copy, as [corrupt_repetition] builds; 2: fresh
-           vectors for every repetition; 3: one vector rewritten in
-           place between calls. *)
-        let rng = Rng.create seed and m = 1 lsl (2 * k) in
-        let x = Bitvec.random rng m and y = Bitvec.random rng m in
-        let victim = Rng.int rng (1 lsl k) in
-        let flipped = Bitvec.copy x in
-        Bitvec.set flipped 0 (not (Bitvec.get x 0));
-        let shared = Bitvec.create m in
-        let blocks r =
-          match kind with
-          | 0 -> (x, y, x)
-          | 1 -> if r = victim then (x, y, flipped) else (x, y, x)
-          | 2 ->
-              let rng = Rng.create (seed + r) in
-              (Bitvec.random rng m, Bitvec.random rng m, Bitvec.random rng m)
-          | _ ->
-              for i = 0 to m - 1 do
-                Bitvec.set shared i (i = r mod m)
-              done;
-              (shared, y, shared)
+    Test.make ~name:"offset names every byte of encode" ~count:60
+      (pair (int_range 1 3) (int_bound 1_000_000))
+      (fun (k, seed) ->
+        let rng = Rng.create seed in
+        let shape = shape_of rng k in
+        let input = Lang.Ldisj.encode shape and m = 1 lsl (2 * k) in
+        let offset = Lang.Ldisj.offset ~k in
+        let byte ~copy idx =
+          if idx < 0 || idx = m then '#'
+          else if Bitvec.get (if copy = 1 then shape.y else shape.x) idx then '1'
+          else '0'
         in
-        let plain =
-          String.make k '1' ^ "#"
-          ^ String.concat ""
-              (List.init (1 lsl k) (fun r ->
-                   let x, y, z = blocks r in
-                   String.concat ""
-                     (List.map (fun v -> Bitvec.to_string v ^ "#") [ x; y; z ])))
-        in
-        String.equal (Lang.Ldisj.encode_with ~k ~blocks) plain);
+        let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+        offset ~rep:0 ~copy:0 ~idx:(-1) = k
+        && offset ~rep:((1 lsl k) - 1) ~copy:2 ~idx:m = String.length input - 1
+        && List.for_all
+             (fun rep ->
+               List.for_all
+                 (fun copy ->
+                   List.for_all
+                     (fun idx -> input.[offset ~rep ~copy ~idx] = byte ~copy idx)
+                     (List.init (m + 2) (fun i -> i - 1)))
+                 [ 0; 1; 2 ])
+             (List.init (1 lsl k) Fun.id)
+        && List.for_all raises
+             [
+               (fun () -> offset ~rep:(1 lsl k) ~copy:0 ~idx:0);
+               (fun () -> offset ~rep:(-1) ~copy:0 ~idx:0);
+               (fun () -> offset ~rep:0 ~copy:3 ~idx:0);
+               (fun () -> offset ~rep:0 ~copy:0 ~idx:(m + 1));
+               (fun () -> offset ~rep:0 ~copy:0 ~idx:(-2));
+             ]);
   ]
 
 let suite =

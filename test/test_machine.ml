@@ -172,22 +172,77 @@ let test_stream_sequential () =
   check "eof" true (Stream.next s = None);
   check "still eof" true (Stream.next s = None)
 
-let test_stream_of_fn () =
-  let s = Stream.of_fn (fun i -> if i < 5 then Some Symbol.One else None) in
-  check_int "fold counts" 5 (Stream.fold (fun acc _ -> acc + 1) 0 s)
+(* A run of strings served through [of_chunks]. *)
+let chunked pieces =
+  let rest = ref pieces in
+  Stream.of_chunks (fun () ->
+      match !rest with
+      | [] -> None
+      | piece :: more ->
+          rest := more;
+          Some piece)
 
-(* The generic generator over the same characters: the reference the
-   string-backed stream must agree with. *)
-let stream_by_fn str =
+(* [split str cuts] cuts [str] at the positions in [cuts] (any order,
+   clamped to its length); a repeated cut gives an empty string. *)
+let split str cuts =
   let n = String.length str in
-  Stream.of_fn (fun i -> if i < n then Some (Symbol.of_char str.[i]) else None)
+  let cuts = List.sort compare (List.map (fun c -> Int.max 0 (Int.min n c)) cuts) in
+  let rec go from = function
+    | [] -> [ String.sub str from (n - from) ]
+    | c :: more -> String.sub str from (c - from) :: go c more
+  in
+  go 0 cuts
+
+let test_stream_of_chunks () =
+  let asked = ref 0 in
+  let source pieces =
+    let rest = ref pieces in
+    fun () ->
+      incr asked;
+      match !rest with
+      | [] -> None
+      | piece :: more ->
+          rest := more;
+          Some piece
+  in
+  let s = Stream.of_chunks (source [ ""; "01"; ""; "#1"; "x0" ]) in
+  check "a word stops at the end of its string" true (Stream.next_bits s 62 = (0b10, 2));
+  check "empty strings are skipped" true (Stream.next s = Some Symbol.Hash);
+  check "the rest of that string" true (Stream.next_bits s 62 = (1, 1));
+  check_int "pos counts across strings" 4 (Stream.pos s);
+  check "stops before a bad character first in a string" true
+    (Stream.next_bits s 62 = (0, 0));
+  Alcotest.check_raises "next raises at it"
+    (Invalid_argument "Symbol.of_char: x not in {0,1,#}") (fun () ->
+      ignore (Stream.next s));
+  check_int "pos at the bad character" 4 (Stream.pos s);
+  asked := 0;
+  let e = Stream.of_chunks (source [ "1"; "" ]) in
+  let count = ref 0 in
+  Stream.iter (fun _ -> incr count) e;
+  check_int "iter drains" 1 !count;
+  check "end" true (Stream.next e = None && Stream.next_bits e 62 = (0, 0));
+  check_int "the source is not asked again after its None" 3 !asked;
+  (* A callback may read on from the stream it is called from. *)
+  let reentrant s =
+    let b = Buffer.create 8 in
+    Stream.iter
+      (fun c ->
+        Buffer.add_char b (Symbol.to_char c);
+        Buffer.add_char b (match Stream.next s with Some c -> Symbol.to_char c | None -> '.'))
+      s;
+    Buffer.contents b
+  in
+  Alcotest.(check string) "iter's callback reads across strings"
+    (reentrant (Stream.of_string "0#1#0"))
+    (reentrant (chunked [ "0#"; "1"; "#0" ]))
 
 (* Everything a consumer sees of a stream: [prefix] calls to [next]
-   with the position after each, then a resumed [fold] or [iter] (with
-   the position inside the callback), then the final position.  A bad
+   with the position after each, then a resumed [iter] (with the
+   position inside the callback), then the final position.  A bad
    character ends the run with its message, and the position it left
    is the last entry. *)
-let observe_stream ~prefix ~use_fold s =
+let observe_stream ~prefix s =
   let seen = ref [] in
   let note x = seen := x :: !seen in
   let sym c = String.make 1 (Symbol.to_char c) in
@@ -197,22 +252,92 @@ let observe_stream ~prefix ~use_fold s =
        note (string_of_int (Stream.pos s))
      done;
      note "resume";
-     if use_fold then note (Stream.fold (fun acc c -> acc ^ sym c) "" s)
-     else Stream.iter (fun c -> note (sym c ^ string_of_int (Stream.pos s))) s
+     Stream.iter (fun c -> note (sym c ^ string_of_int (Stream.pos s))) s
    with Invalid_argument m -> note m);
   note (string_of_int (Stream.pos s));
   List.rev !seen
 
+(* The outcome of one [next], with an error as its text. *)
+let next_outcome s =
+  match Stream.next s with
+  | sym -> Ok (Option.map Symbol.to_char sym)
+  | exception Invalid_argument m -> Error m
+
+(* Reads [chunked (split str cuts)] by [next_bits], with the [maxes]
+   in turn (then 62), and by [next] whenever a word is empty, as
+   [A1.drive] does.  Every word must be the pair [of_string] gives on
+   the rest of the string the read starts in (a word may stop at a
+   string's end, and nowhere else that [of_string] would not), every
+   symbol and error the one [of_string] gives on the rest of the
+   input, and [pos] must follow. *)
+let chunks_agree str cuts maxes =
+  let n = String.length str in
+  let ends =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (at, ends) piece ->
+              let at = at + String.length piece in
+              (at, if piece = "" then ends else at :: ends))
+            (0, []) (split str cuts)))
+  in
+  let rest_from p stop = Stream.of_string (String.sub str p (stop - p)) in
+  let s = chunked (split str cuts) in
+  let rec go maxes =
+    let max, more = match maxes with m :: more -> (m, more) | [] -> (62, []) in
+    let p = Stream.pos s in
+    let stop = Option.value ~default:n (List.find_opt (fun e -> e > p) ends) in
+    let ((_, len) as word) = Stream.next_bits s max in
+    if word <> Stream.next_bits (rest_from p stop) max || Stream.pos s <> p + len then false
+    else if len > 0 || max < 1 then go more
+    else
+      match (next_outcome s, next_outcome (rest_from p n)) with
+      | (Ok (Some _) as got), want -> got = want && Stream.pos s = p + 1 && go more
+      | (Ok None as got), want -> got = want && Stream.pos s = n
+      | (Error _ as got), want -> got = want && Stream.pos s = p && next_outcome s = got
+  in
+  go maxes
+
 let stream_qcheck_tests =
   let open QCheck in
-  let case alphabet =
-    triple
-      (string_gen_of_size Gen.(0 -- 40) (Gen.oneofl alphabet))
-      (int_bound 45) bool
+  (* A string and cuts in it, with one before its first bad character
+     when [at_bad], so a string can start with one. *)
+  let with_cuts str =
+    Gen.(
+      let* cuts = list_size (0 -- 6) (0 -- String.length str) and* at_bad = bool in
+      return
+        (match String.index_opt str 'x' with
+        | Some i when at_bad -> i :: cuts
+        | _ -> cuts))
   in
-  let agree (str, prefix, use_fold) =
-    observe_stream ~prefix ~use_fold (Stream.of_string str)
-    = observe_stream ~prefix ~use_fold (stream_by_fn str)
+  let print_cuts str cuts =
+    Printf.sprintf "%S cut at %s" str (String.concat " " (List.map string_of_int cuts))
+  in
+  let iter_case =
+    make
+      ~print:(fun (str, cuts, prefix) ->
+        Printf.sprintf "%s, prefix %d" (print_cuts str cuts) prefix)
+      Gen.(
+        let* str = string_size ~gen:(oneofl [ '0'; '1'; '#'; 'x' ]) (0 -- 40) in
+        let* cuts = with_cuts str and* prefix = 0 -- 45 in
+        return (str, cuts, prefix))
+  in
+  (* Bit runs of up to 40 between '#', 'x' or '\xb1', so a cut falls
+     inside an eight-byte load as often as not. *)
+  let words_case =
+    make
+      ~print:(fun (str, cuts, maxes) ->
+        Printf.sprintf "%s, max %s" (print_cuts str cuts)
+          (String.concat " " (List.map string_of_int maxes)))
+      Gen.(
+        let segment =
+          let* run = string_size ~gen:(oneofl [ '0'; '1' ]) (0 -- 40) in
+          let* stop = oneofl [ ""; "#"; "#"; "x"; "\xb1" ] in
+          return (run ^ stop)
+        in
+        let* str = map (String.concat "") (list_size (1 -- 4) segment) in
+        let* cuts = with_cuts str and* maxes = list_size (0 -- 12) (-1 -- 70) in
+        return (str, cuts, maxes))
   in
   (* Drains a stream the way A1.drive does: a run of bits, up to the
      next of [maxes], while there is one, else one symbol through
@@ -275,15 +400,18 @@ let stream_qcheck_tests =
       gen
   in
   [
-    Test.make ~name:"stream of_string = of_fn on {0,1,#}" ~count:300
-      (case [ '0'; '1'; '#' ]) agree;
-    Test.make ~name:"stream of_string = of_fn on a bad character" ~count:300
-      (case [ '0'; '1'; '#'; 'x' ]) agree;
-    Test.make ~name:"stream next_bits = next, on of_string and of_fn" ~count:300
-      bits_case (fun (str, maxes) ->
+    Test.make ~name:"stream of_chunks = of_string, iter" ~count:300 iter_case
+      (fun (str, cuts, prefix) ->
+        observe_stream ~prefix (chunked (split str cuts))
+        = observe_stream ~prefix (Stream.of_string str));
+    Test.make ~name:"stream of_chunks = of_string, words" ~count:500 words_case
+      (fun (str, cuts, maxes) -> chunks_agree str cuts maxes);
+    Test.make ~name:"stream next_bits = next, on of_string and of_chunks" ~count:300
+      (pair bits_case (list_of_size Gen.(0 -- 6) (int_bound 150)))
+      (fun ((str, maxes), cuts) ->
         let reference = by_symbol (Stream.of_string str) in
         drain_by_bits maxes (Stream.of_string str) = reference
-        && drain_by_bits maxes (stream_by_fn str) = reference);
+        && drain_by_bits maxes (chunked (split str cuts)) = reference);
     Test.make ~name:"stream next_bits = next, on long bit runs" ~count:500
       long_run_case (fun (str, maxes) ->
         drain_by_bits maxes (Stream.of_string str) = by_symbol (Stream.of_string str));
@@ -312,21 +440,7 @@ let test_stream_next_bits () =
   check_int "pos at the bad character" 6 (Stream.pos s);
   let long = Stream.of_string (String.make 100 '1') in
   check "at most max_bits" true (Stream.next_bits long 100 = (max_int, 62));
-  check "at most max" true (Stream.next_bits long 3 = (0b111, 3));
-  (* A generator is asked once per position, in order, even when
-     [next_bits] looks ahead at a '#'. *)
-  let asked = ref [] in
-  let g =
-    Stream.of_fn (fun i ->
-        asked := i :: !asked;
-        if i < 3 then Some (Symbol.of_char "1#0".[i]) else None)
-  in
-  check "one bit" true (Stream.next_bits g 62 = (1, 1));
-  check "then none" true (Stream.next_bits g 62 = (0, 0));
-  check "the looked-at '#'" true (Stream.next g = Some Symbol.Hash);
-  check "last bit" true (Stream.next_bits g 62 = (0, 1));
-  check "end" true (Stream.next_bits g 62 = (0, 0) && Stream.next g = None);
-  check "each position asked once" true (List.rev !asked = [ 0; 1; 2; 3 ])
+  check "at most max" true (Stream.next_bits long 3 = (0b111, 3))
 
 let test_bitstore_words () =
   let ws = Workspace.create () in
@@ -494,7 +608,7 @@ let suite =
     ("bitstore exact footprint", `Quick, test_bitstore_exact_footprint);
     ("bitstore roundtrip", `Quick, test_bitstore_roundtrip);
     ("stream sequential", `Quick, test_stream_sequential);
-    ("stream of_fn", `Quick, test_stream_of_fn);
+    ("stream of_chunks", `Quick, test_stream_of_chunks);
     ("stream bad character position", `Quick, test_stream_bad_char_position);
     ("symbol conversions", `Quick, test_symbol_conversions);
     ("machines validate", `Quick, test_machines_validate);

@@ -193,7 +193,7 @@ type pipeline = {
 
 (* A1 + A2 + A3 over one input, by [drive] or by [feed]; A3 runs for
    k <= 3 so the inputs stay small. *)
-let pipeline ~by_word ~use_fn input =
+let pipeline ~by_word ~cuts input =
   let ws = Machine.Workspace.create () in
   let rng = Rng.create 97 in
   let roles = ref [] and ks = ref [] and procs = ref None in
@@ -209,12 +209,10 @@ let pipeline ~by_word ~use_fn input =
     Oqsc.A2.observe a2 role;
     Option.iter (fun a3 -> Oqsc.A3.observe a3 role) a3
   in
-  let n = String.length input in
   let stream =
-    if use_fn then
-      Machine.Stream.of_fn (fun i ->
-          if i < n then Some (Machine.Symbol.of_char input.[i]) else None)
-    else Machine.Stream.of_string input
+    match cuts with
+    | None -> Machine.Stream.of_string input
+    | Some cuts -> Test_machine.chunked (Test_machine.split input cuts)
   in
   let max_k = 4 in
   let a1, error =
@@ -297,11 +295,19 @@ let step_case =
 
 let drive_qcheck_tests =
   let open QCheck in
+  (* [cuts], when given, are fractions (in 1/1000) of the input's
+     length at which [drive]'s input is split into [of_chunks]
+     strings; [feed] always reads the stored string. *)
   let case =
     make
-      ~print:(fun (seed, kind, use_fn) ->
-        Printf.sprintf "seed %d kind %d of_fn %b" seed kind use_fn)
-      Gen.(triple (int_bound 1_000_000) (int_bound 6) bool)
+      ~print:(fun (seed, kind, cuts) ->
+        Printf.sprintf "seed %d kind %d cuts %s" seed kind
+          (match cuts with
+          | None -> "none"
+          | Some cuts -> String.concat " " (List.map string_of_int cuts)))
+      Gen.(
+        triple (int_bound 1_000_000) (int_bound 6)
+          (opt (list_size (0 -- 8) (int_bound 1000))))
   in
   [
     Test.make ~name:"a2 word step = chained mulmod/addmod" ~count:500
@@ -321,10 +327,13 @@ let drive_qcheck_tests =
             = chained_step ~prime ~point ~pow ~acc ~bits ~len)
           (List.init 63 Fun.id));
     Test.make ~name:"a1 drive = feed, with A2 and A3" ~count:200 case
-      (fun (seed, kind, use_fn) ->
+      (fun (seed, kind, cuts) ->
         let input = drive_input ~seed ~kind in
-        let by_word = pipeline ~by_word:true ~use_fn input in
-        let by_symbol = pipeline ~by_word:false ~use_fn input in
+        let cuts =
+          Option.map (List.map (fun c -> c * String.length input / 1000)) cuts
+        in
+        let by_word = pipeline ~by_word:true ~cuts input in
+        let by_symbol = pipeline ~by_word:false ~cuts:None input in
         by_word.words_ok && by_word = { by_symbol with words_ok = true });
   ]
 

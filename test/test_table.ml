@@ -63,8 +63,11 @@ let test_formatters () =
   Alcotest.(check string) "prob" "0.250" (Experiments.Table.fmt_prob 0.25)
 
 let test_registry_unknown_id () =
-  check "run raises Not_found" true
-    (match Experiments.Registry.run "e99" Format.str_formatter with
+  check "result raises Not_found" true
+    (match
+       Experiments.Report.render Format.str_formatter
+         (Experiments.Registry.result "e99")
+     with
     | exception Not_found -> true
     | () -> false)
 
