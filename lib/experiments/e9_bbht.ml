@@ -41,15 +41,13 @@ let rows ?(quick = false) ~seed ~k () =
       let closed_form = Grover.Analysis.avg_success_random_j ~rounds ~t ~space:m in
       let by_sum = Grover.Analysis.avg_success_random_j_by_sum ~rounds ~t ~space:m in
       (* Ablation: doubling-schedule BBHT search on the same oracle. *)
+      let oracle =
+        match Lang.Ldisj.parse inst.Lang.Instance.input with
+        | Ok { Lang.Ldisj.x; y; _ } -> Grover.Oracle.conjunction x y
+        | Error reason -> Fmt.failwith "E9: generated instance does not parse (%s)" reason
+      in
       let found = ref 0 in
       for _ = 1 to bbht_trials do
-        let x = Bitvec.create m and y = Bitvec.create m in
-        (match Lang.Ldisj.parse inst.Lang.Instance.input with
-        | Ok shape ->
-            Bitvec.iteri (fun i b -> Bitvec.set x i b) shape.Lang.Ldisj.x;
-            Bitvec.iteri (fun i b -> Bitvec.set y i b) shape.Lang.Ldisj.y
-        | Error _ -> ());
-        let oracle = Grover.Oracle.conjunction x y in
         let outcome = Grover.Bbht.search (Rng.split rng) oracle in
         if outcome.Grover.Bbht.found <> None then incr found
       done;

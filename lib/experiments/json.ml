@@ -28,16 +28,7 @@ type t =
 
 (* ------------------------------------------------------------- emit *)
 
-(* Every finite float is spelled as a float: a value that [%.12g]
-   rounds to an integer (one ulp off 1.0, say) gets the ".0" an exact
-   integer gets, so the two print alike and both parse back as a
-   [Float]. *)
-let float_repr v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else
-    let s = Printf.sprintf "%.12g" v in
-    if String.for_all (function '-' | '0' .. '9' -> true | _ -> false) s then s ^ ".0"
-    else s
+let float_repr = Obs.Metrics.float_repr
 
 let add_escaped buf s =
   String.iter

@@ -13,24 +13,24 @@ let is_member t = t.label = In_language
 
 let m_of_k k = 1 lsl (2 * k)
 
-let disjoint_pair rng ~k =
-  let m = m_of_k k in
+(* A uniformly random x, then y drawn bit by bit where x is 0. *)
+let disjoint_vectors rng m =
   let x = Bitvec.random rng m in
   let y = Bitvec.create m in
   for i = 0 to m - 1 do
     if not (Bitvec.get x i) then Bitvec.set y i (Rng.bool rng)
   done;
+  (x, y)
+
+let disjoint_pair rng ~k =
+  let x, y = disjoint_vectors rng (m_of_k k) in
   let input = Ldisj.encode { Ldisj.k; x; y } in
   { input; label = In_language; k }
 
 let intersecting_pair rng ~k ~t =
   let m = m_of_k k in
   if t < 1 || t > m then invalid_arg "Instance.intersecting_pair: bad t";
-  let x = Bitvec.random rng m in
-  let y = Bitvec.create m in
-  for i = 0 to m - 1 do
-    if not (Bitvec.get x i) then Bitvec.set y i (Rng.bool rng)
-  done;
+  let x, y = disjoint_vectors rng m in
   (* Plant exactly t collisions on a random t-subset. *)
   let collide = Bitvec.random_with_weight rng m t in
   for i = 0 to m - 1 do
@@ -52,8 +52,9 @@ let sparse_pair rng ~k ~weight =
   let label = if t = 0 then In_language else Not_in_language (Intersecting t) in
   { input; label; k }
 
-(* The base is parsed only to check it and learn k; the defect is one
-   byte of a copy of its input, found through [Ldisj.offset]. *)
+(* The base is parsed, in place, only to check it and learn k; the
+   defect is one byte of a copy of its input, found through
+   [Ldisj.offset]. *)
 let corrupt_repetition rng ~base =
   match Ldisj.parse base.input with
   | Error reason ->

@@ -22,7 +22,9 @@ val disjoint_pair : Mathx.Rng.t -> k:int -> t
     [x_i = 1] (so DISJ = 1); a member of L_DISJ. *)
 
 val intersecting_pair : Mathx.Rng.t -> k:int -> t:int -> t
-(** Random pair with exactly [t >= 1] common ones; not in L_DISJ. *)
+(** Random pair with exactly [t >= 1] common ones; not in L_DISJ.  It
+    starts from the same draw of [x] and [y] as {!disjoint_pair}, then
+    plants the collisions on a random [t]-subset. *)
 
 val sparse_pair : Mathx.Rng.t -> k:int -> weight:int -> t
 (** Both strings of Hamming weight [weight], intersection left to chance —
@@ -33,7 +35,8 @@ val corrupt_repetition : Mathx.Rng.t -> base:t -> t
     breaking condition (ii) or (iii); not in L_DISJ.  The result is
     [base.input] with exactly one byte changed, at the
     {!Ldisj.offset} that its label's "bit [b] of copy [c] in
-    repetition [r]" names; nothing is re-encoded.
+    repetition [r]" names; nothing is re-encoded.  The guard is one
+    {!Ldisj.parse} of [base.input], read in place.
     @raise Invalid_argument if {!Ldisj.parse} rejects [base.input]. *)
 
 val malformed : Mathx.Rng.t -> k:int -> t

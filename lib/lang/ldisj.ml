@@ -41,79 +41,77 @@ let offset ~k ~rep ~copy ~idx =
     invalid_arg "Ldisj.offset: position outside the layout";
   k + 1 + (((3 * rep) + copy) * (m + 1)) + idx
 
-(* Shape scan: condition (i) only.  Returns k and the raw blocks. *)
-let scan input =
-  let ( let* ) r f = Result.bind r f in
+(* Condition (i): [1^k#], the exact length, then each block's 2^{2k}
+   bits and the '#' that ends it, in input order.  Every position read
+   comes from [offset]; nothing is copied.  Returns k. *)
+let shape_k input =
   let n = String.length input in
-  (* Leading 1^k. *)
   let k = ref 0 in
   while !k < n && input.[!k] = '1' do
     incr k
   done;
   let k = !k in
-  let* () = if k >= 1 then Ok () else Error "no leading 1-run" in
-  let* () = if k < 30 then Ok () else Error "k too large" in
-  let* () =
-    if k < n && input.[k] = '#' then Ok () else Error "missing '#' after 1^k"
-  in
-  let m = m_of_k k and reps = reps_of_k k in
-  let expected = string_length ~k in
-  let* () =
-    if n = expected then Ok ()
-    else Error (Printf.sprintf "length %d, expected %d for k=%d" n expected k)
-  in
-  (* Scan segments: for each repetition, x#y#z#. *)
-  let read_block pos =
-    let stop = pos + m in
-    let rec check i =
-      if i >= stop then Ok (Bitvec.of_string (String.sub input pos m))
-      else
-        match input.[i] with
-        | '0' | '1' -> check (i + 1)
-        | _ -> Error (Printf.sprintf "unexpected '#' inside block at %d" i)
-    in
-    let* v = check pos in
-    if stop < n && input.[stop] = '#' then Ok v
-    else Error (Printf.sprintf "missing '#' at %d" stop)
-  in
-  let rec read_reps r pos acc =
-    if r >= reps then Ok (List.rev acc)
-    else begin
-      let* x = read_block pos in
-      let* y = read_block (pos + m + 1) in
-      let* z = read_block (pos + (2 * (m + 1))) in
-      read_reps (r + 1) (pos + (3 * (m + 1))) ((x, y, z) :: acc)
-    end
-  in
-  let* blocks = read_reps 0 (k + 1) [] in
-  Ok (k, blocks)
+  if k < 1 then Error "no leading 1-run"
+  else if k >= 30 then Error "k too large"
+  else if k >= n || input.[k] <> '#' then Error "missing '#' after 1^k"
+  (* Above k = 20 the layout is longer than max_int, [string_length]
+     wraps, and no input can have the length it stands for; the reads
+     below rely on every offset lying inside the input. *)
+  else if k > 20 || n <> string_length ~k then
+    Error (Printf.sprintf "length %d, expected %d for k=%d" n (string_length ~k) k)
+  else
+    let m = m_of_k k in
+    let exception Bad of string in
+    try
+      for rep = 0 to reps_of_k k - 1 do
+        for copy = 0 to 2 do
+          let start = offset ~k ~rep ~copy ~idx:0 in
+          for i = start to start + m - 1 do
+            match String.unsafe_get input i with
+            | '0' | '1' -> ()
+            | _ -> raise (Bad (Printf.sprintf "unexpected '#' inside block at %d" i))
+          done;
+          let stop = offset ~k ~rep ~copy ~idx:m in
+          if input.[stop] <> '#' then
+            raise (Bad (Printf.sprintf "missing '#' at %d" stop))
+        done
+      done;
+      Ok k
+    with Bad reason -> Error reason
 
-let well_shaped input = Result.is_ok (scan input)
+let well_shaped input = Result.is_ok (shape_k input)
 
+(* Conditions (ii) and (iii): each copy is compared in place with its
+   counterpart in repetition 0, in input order; only then are x and y
+   built, once, from repetition 0. *)
 let parse input =
-  let ( let* ) r f = Result.bind r f in
-  let* k, blocks = scan input in
-  match blocks with
-  | [] -> Error "no repetitions"
-  | (x0, y0, z0) :: rest ->
-      let* () =
-        if Bitvec.equal x0 z0 then Ok () else Error "x <> z in repetition 0"
-      in
-      let rec check_rest i = function
-        | [] -> Ok ()
-        | (x, y, z) :: more ->
-            if not (Bitvec.equal x x0) then
-              Error (Printf.sprintf "x differs in repetition %d" i)
-            else if not (Bitvec.equal y y0) then
-              Error (Printf.sprintf "y differs in repetition %d" i)
-            else if not (Bitvec.equal z x0) then
-              Error (Printf.sprintf "z differs in repetition %d" i)
-            else check_rest (i + 1) more
-      in
-      let* () = check_rest 1 rest in
-      Ok { k; x = x0; y = y0 }
+  let ( let* ) = Result.bind in
+  let* k = shape_k input in
+  let m = m_of_k k in
+  let start rep copy = offset ~k ~rep ~copy ~idx:0 in
+  (* Block [copy] of repetition [rep] against block [copy0] of
+     repetition 0, byte by byte. *)
+  let agrees rep copy copy0 =
+    let a = start rep copy and b = start 0 copy0 in
+    let rec go i =
+      i >= m
+      || String.unsafe_get input (a + i) = String.unsafe_get input (b + i)
+         && go (i + 1)
+    in
+    go 0
+  in
+  let* () = if agrees 0 2 0 then Ok () else Error "x <> z in repetition 0" in
+  let rec check rep =
+    let differs what = Error (Printf.sprintf "%s differs in repetition %d" what rep) in
+    if rep >= reps_of_k k then Ok ()
+    else if not (agrees rep 0 0) then differs "x"
+    else if not (agrees rep 1 1) then differs "y"
+    else if not (agrees rep 2 0) then differs "z"
+    else check (rep + 1)
+  in
+  let* () = check 1 in
+  let block copy = Bitvec.of_string (String.sub input (start 0 copy) m) in
+  Ok { k; x = block 0; y = block 1 }
 
 let member input =
   match parse input with Ok { x; y; _ } -> disj x y | Error _ -> false
-
-let in_complement input = not (member input)

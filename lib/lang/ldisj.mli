@@ -46,7 +46,8 @@ val offset : k:int -> rep:int -> copy:int -> idx:int -> int
 val well_shaped : string -> bool
 (** Condition (i) of the Theorem 3.4 proof alone: the input has the exact
     layout [1^k#(b#b#b#)^{2^k}] with blocks of length [2^{2k}] — no
-    consistency or disjointness requirements.  This is the predicate the
+    consistency or disjointness requirements.  It is {!parse}'s first
+    pass alone, in place, with no copy.  This is the predicate the
     streaming checker A1 computes; the test suite cross-validates the two
     implementations on random mutations. *)
 
@@ -54,14 +55,15 @@ val parse : string -> (shape, string) result
 (** Full offline parse: checks conditions (i), (ii) and (iii) of the
     Theorem 3.4 proof — the overall shape, [x = z] inside every
     repetition, and agreement of all repetitions.  Returns a reason on
-    failure.  (This is the reference implementation; the streaming
-    checkers A1/A2 exist precisely to avoid its O(n) memory.) *)
+    failure: the first defect of condition (i) in input order, else the
+    first copy (in input order) that differs from its counterpart in
+    repetition 0.  The input is read in place at {!offset}'s positions;
+    beyond it, [parse] holds only the returned [x] and [y].  (This is
+    the reference implementation; the streaming checkers A1/A2 exist
+    to avoid holding the O(n) input.) *)
 
 val member : string -> bool
 (** Exact membership in L_DISJ: [parse] succeeds {e and} DISJ(x, y) = 1. *)
-
-val in_complement : string -> bool
-(** Membership in the complement (the language of Theorem 3.4). *)
 
 val disj : Mathx.Bitvec.t -> Mathx.Bitvec.t -> bool
 (** The DISJ predicate itself. *)

@@ -14,7 +14,6 @@ let to_string syms =
   let arr = Array.of_list syms in
   String.init (Array.length arr) (fun i -> to_char arr.(i))
 
-let of_bit b = if b then One else Zero
 let to_bit = function Zero -> Some false | One -> Some true | Hash -> None
 
 let equal a b = a = b

@@ -13,7 +13,6 @@ val to_char : t -> char
 val of_string : string -> t list
 val to_string : t list -> string
 
-val of_bit : bool -> t
 val to_bit : t -> bool option
 (** [Some b] for [Zero]/[One], [None] for [Hash]. *)
 

@@ -408,9 +408,6 @@ module Metrics = struct
                 | _ -> kind_clash name))
       snap
 
-  (* Same float text as Experiments.Json.float_repr (the obs library
-     sits below experiments, so the convention is restated rather than
-     imported; test/test_metrics.ml pins the two together). *)
   let float_repr v =
     if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
     else

@@ -288,6 +288,13 @@ module Metrics : sig
       of two sample streams equals the registry of the concatenated
       streams — the law the qcheck suite checks. *)
 
+  val float_repr : float -> string
+  (** The one float text of every renderer, here and in the canonical
+      JSON emitter: [%.12g], with ".0" appended when that spells an
+      integer, so that a value one ulp off an integer prints as the
+      exact integer does ([%.1f] below 1e15) and both parse back as a
+      float. *)
+
   val to_prometheus : snapshot -> string
   (** Prometheus text exposition: a [# TYPE] line per metric, counters
       and gauges as single samples, histograms as cumulative

@@ -102,20 +102,31 @@ if want smoke; then
   dune exec bin/oqsc_cli.exe -- run --algo block --input "$tmp/input.txt" \
     >"$tmp/run_block.out"
 
-  # Every generated kind through the two deterministic classical
-  # machines: the verdict must be the ground truth the run prints.
-  for kind in member intersect corrupt malformed; do
-    dune exec bin/oqsc_cli.exe -- gen -k 3 --kind "$kind" >"$tmp/gen_$kind.txt"
-    for algo in block naive; do
-      out="$tmp/run_${algo}_$kind.out"
-      dune exec bin/oqsc_cli.exe -- run --algo "$algo" --input "$tmp/gen_$kind.txt" >"$out"
-      verdict="$(sed -n 's/^verdict: //p' "$out")"
-      truth="$(sed -n 's/^ground truth: //p' "$out")"
-      if [ -z "$verdict" ] || [ "$verdict" != "$truth" ]; then
-        echo "run --algo $algo on a $kind instance: verdict '$verdict'," \
-          "ground truth '$truth'" >&2
-        exit 1
-      fi
+  # Every generated kind, at k = 3 and at full size k = 6, through the
+  # two deterministic classical machines: the verdict must be the
+  # ground truth the run prints (Ldisj.member on the input), and that
+  # must be the label gen printed on stderr.
+  for k in 3 6; do
+    for kind in member intersect corrupt malformed; do
+      gen="$tmp/gen_${kind}_k$k.txt"
+      dune exec bin/oqsc_cli.exe -- gen -k "$k" --kind "$kind" >"$gen" \
+        2>"$tmp/gen_${kind}_k$k.err"
+      case "$(sed -n 's/.* member=//p' "$tmp/gen_${kind}_k$k.err")" in
+        true) label="in L_DISJ" ;;
+        false) label="not in L_DISJ" ;;
+        *) label="" ;;
+      esac
+      for algo in block naive; do
+        out="$tmp/run_${algo}_${kind}_k$k.out"
+        dune exec bin/oqsc_cli.exe -- run --algo "$algo" --input "$gen" >"$out"
+        verdict="$(sed -n 's/^verdict: //p' "$out")"
+        truth="$(sed -n 's/^ground truth: //p' "$out")"
+        if [ -z "$verdict" ] || [ "$verdict" != "$truth" ] || [ "$truth" != "$label" ]; then
+          echo "run --algo $algo on a k=$k $kind instance: verdict '$verdict'," \
+            "ground truth '$truth', gen label '$label'" >&2
+          exit 1
+        fi
+      done
     done
   done
 

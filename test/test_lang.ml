@@ -49,20 +49,39 @@ let test_parse_rejections () =
   let good = Lang.Ldisj.encode (shape_of rng 1) in
   let cases =
     [
-      ("", "empty");
-      ("0" ^ good, "leading zero");
-      (String.sub good 0 (String.length good - 1), "truncated");
-      (good ^ "#", "extended");
-      ("1" ^ good, "wrong k claim");
-      ("###", "only separators");
-      ("1#", "no repetitions");
+      ("", "empty", "no leading 1-run");
+      ("0" ^ good, "leading zero", "no leading 1-run");
+      (String.sub good 0 (String.length good - 1), "truncated", "length 31, expected 32 for k=1");
+      (good ^ "#", "extended", "length 33, expected 32 for k=1");
+      ("1" ^ good, "wrong k claim", "length 33, expected 207 for k=2");
+      ("###", "only separators", "no leading 1-run");
+      ("1#", "no repetitions", "length 2, expected 32 for k=1");
+      ("110" ^ good, "no '#' after the 1-run", "missing '#' after 1^k");
+      (String.make 30 '1' ^ "#", "k = 30", "k too large");
     ]
   in
   List.iter
-    (fun (input, label) ->
-      check label true (Result.is_error (Lang.Ldisj.parse input)))
-    cases
+    (fun (input, label, reason) ->
+      Alcotest.(check (result reject string))
+        label (Error reason)
+        (Result.map (fun _ -> ()) (Lang.Ldisj.parse input)))
+    cases;
+  (* At k = 21, string_length wraps to 22 + 3 * 2^21.  An input of that
+     length is rejected on its length (the figure is the wrapped one),
+     before any block is read: a block of 2^42 bits would run past its
+     end. *)
+  let wrapped = String.make 21 '1' ^ "#" ^ String.make (3 lsl 21) '0' in
+  check_int "wrapped length" (String.length wrapped) (Lang.Ldisj.string_length ~k:21);
+  Alcotest.(check (result reject string))
+    "k = 21 at the wrapped length" (Error "length 6291478, expected 6291478 for k=21")
+    (Result.map (fun _ -> ()) (Lang.Ldisj.parse wrapped))
 
+(* Every byte of the layout, changed alone, at k = 1..3.  A bit flipped
+   0 <-> 1 breaks condition (ii) or (iii), and is reported at the first
+   copy, in input order, that differs from repetition 0: a flip in x or
+   z of repetition 0 as [x <> z], a flip in its y at repetition 1's y.
+   A bit turned into '#', or a separator into '0', breaks condition (i)
+   at that byte. *)
 let test_parse_detects_inconsistency () =
   let x = Bitvec.of_string "0000" and y = Bitvec.of_string "1111" in
   let good = Lang.Ldisj.encode { Lang.Ldisj.k = 1; x; y } in
@@ -76,7 +95,74 @@ let test_parse_detects_inconsistency () =
   Alcotest.(check string) "different y in the second repetition"
     "y differs in repetition 1" (reason (flip ~rep:1 ~copy:1 ~idx:3));
   Alcotest.(check string) "z different from x inside a repetition"
-    "x <> z in repetition 0" (reason (flip ~rep:0 ~copy:2 ~idx:3))
+    "x <> z in repetition 0" (reason (flip ~rep:0 ~copy:2 ~idx:3));
+  let rng = Rng.create 19 in
+  for k = 1 to 3 do
+    let good = Lang.Ldisj.encode (shape_of rng k) and m = 1 lsl (2 * k) in
+    let with_byte at c =
+      let b = Bytes.of_string good in
+      Bytes.set b at c;
+      reason (Lang.Ldisj.parse (Bytes.to_string b))
+    in
+    for rep = 0 to (1 lsl k) - 1 do
+      for copy = 0 to 2 do
+        for idx = -1 to m do
+          let at = Lang.Ldisj.offset ~k ~rep ~copy ~idx in
+          let where = Printf.sprintf "k=%d rep=%d copy=%d idx=%d" k rep copy idx in
+          if idx = -1 || idx = m then
+            Alcotest.(check string) where
+              (if at = k then "missing '#' after 1^k"
+               else Printf.sprintf "missing '#' at %d" at)
+              (with_byte at '0')
+          else begin
+            Alcotest.(check string) (where ^ " flipped")
+              (match (rep, copy) with
+              | 0, (0 | 2) -> "x <> z in repetition 0"
+              | 0, _ -> "y differs in repetition 1"
+              | _ ->
+                  Printf.sprintf "%s differs in repetition %d"
+                    [| "x"; "y"; "z" |].(copy) rep)
+              (with_byte at (if good.[at] = '0' then '1' else '0'));
+            Alcotest.(check string) (where ^ " to '#'")
+              (Printf.sprintf "unexpected '#' inside block at %d" at)
+              (with_byte at '#')
+          end
+        done
+      done
+    done
+  done;
+  (* Two defects: the first in input order is reported, and condition
+     (i) is checked over the whole input first, so a '#' defect in a
+     later repetition outranks an inconsistency in repetition 1. *)
+  let k = 2 and m = 16 in
+  let good = Lang.Ldisj.encode (shape_of rng k) in
+  let flip b ~rep ~copy =
+    let at = Lang.Ldisj.offset ~k ~rep ~copy ~idx:3 in
+    Bytes.set b at (if Bytes.get b at = '0' then '1' else '0')
+  in
+  let both (r1, c1) (r2, c2) =
+    let b = Bytes.of_string good in
+    flip b ~rep:r1 ~copy:c1;
+    flip b ~rep:r2 ~copy:c2;
+    reason (Lang.Ldisj.parse (Bytes.to_string b))
+  in
+  List.iter
+    (fun (first, second, expect) ->
+      Alcotest.(check string) "first inconsistency in input order" expect
+        (both first second))
+    [
+      ((1, 0), (1, 1), "x differs in repetition 1");
+      ((2, 1), (2, 2), "y differs in repetition 2");
+      ((1, 2), (2, 0), "z differs in repetition 1");
+      ((3, 2), (3, 0), "x differs in repetition 3");
+    ];
+  let b = Bytes.of_string good in
+  flip b ~rep:1 ~copy:1;
+  let sep = Lang.Ldisj.offset ~k ~rep:3 ~copy:0 ~idx:m in
+  Bytes.set b sep '0';
+  Alcotest.(check string) "shape defect outranks an earlier inconsistency"
+    (Printf.sprintf "missing '#' at %d" sep)
+    (reason (Lang.Ldisj.parse (Bytes.to_string b)))
 
 let test_member_semantics () =
   let x = Bitvec.of_string "1010" and y = Bitvec.of_string "0101" in
@@ -84,9 +170,7 @@ let test_member_semantics () =
     (Lang.Ldisj.member (Lang.Ldisj.encode { Lang.Ldisj.k = 1; x; y }));
   let y_hit = Bitvec.of_string "1101" in
   check "intersecting pair is not" false
-    (Lang.Ldisj.member (Lang.Ldisj.encode { Lang.Ldisj.k = 1; x; y = y_hit }));
-  check "complement flips" true
-    (Lang.Ldisj.in_complement (Lang.Ldisj.encode { Lang.Ldisj.k = 1; x; y = y_hit }))
+    (Lang.Ldisj.member (Lang.Ldisj.encode { Lang.Ldisj.k = 1; x; y = y_hit }))
 
 let test_disj_predicate () =
   check "empty-ish" true (Lang.Ldisj.disj (Bitvec.create 4) (Bitvec.create 4));

@@ -165,16 +165,17 @@ let test_metrics_reply_byte_stable () =
   in
   check_str "metrics reply bytes stable across runs" (line ()) (line ())
 
+(* Substring search, small inputs. *)
+let contains text s =
+  let n = String.length s and m = String.length text in
+  let rec go i = i + n <= m && (String.sub text i n = s || go (i + 1)) in
+  go 0
+
 let test_prometheus_rendering () =
   let r = M.create_registry () in
   feed_fixture r;
   let text = M.to_prometheus (M.snapshot ~registry:r ()) in
-  let has s =
-    (* substring search, small inputs *)
-    let n = String.length s and m = String.length text in
-    let rec go i = i + n <= m && (String.sub text i n = s || go (i + 1)) in
-    go 0
-  in
+  let has = contains text in
   check "TYPE line for the counter" true
     (has "# TYPE serve_requests_total counter");
   check "counter sample" true (has "serve_requests_total 7");
@@ -189,6 +190,15 @@ let test_prometheus_rendering () =
     (has "serve_request_latency_ms_count 10");
   check "renderer is deterministic" true
     (String.equal text (M.to_prometheus (M.snapshot ~registry:r ())));
+  (* A sum within 5e-13 of an integer is spelled as that integer with
+     ".0", as the canonical JSON emitter spells it. *)
+  let near = M.create_registry () in
+  List.iter (M.observe ~registry:near "near_integer_ms") [ 0.5; 2.5000000000002 ];
+  let sum = 0.5 +. 2.5000000000002 in
+  check "the sum is not an integer" false (Float.is_integer sum);
+  check "the sum is within 5e-13 of 3" true (Float.abs (sum -. 3.0) < 5e-13);
+  check "near-integer _sum renders with .0" true
+    (contains (M.to_prometheus (M.snapshot ~registry:near ())) "near_integer_ms_sum 3.0\n");
   (* Cumulative buckets never decrease as le grows. *)
   let lines = String.split_on_char '\n' text in
   let bucket_counts =
