@@ -1,5 +1,4 @@
 open Mathx
-open Quantum
 
 type layout = { k : int; address_width : int; h : int; l : int }
 
@@ -58,40 +57,3 @@ let r_y lay v = per_bit r_bit lay v
 
 let grover_step lay ~x ~y ~z =
   v_x lay x @ w_y lay y @ v_x lay z @ u_k lay @ s_k lay @ u_k lay
-
-let apply_u_k lay s = State.apply_hadamard_block s 0 lay.address_width
-
-let address_mask lay = (1 lsl lay.address_width) - 1
-
-let apply_s_k lay s =
-  let mask = address_mask lay in
-  State.apply_phase_if s (fun idx -> idx land mask <> 0)
-
-let check_string lay v =
-  if Bitvec.length v <> 1 lsl lay.address_width then
-    invalid_arg "Ops: string length must be 2^{2k}"
-
-let apply_v lay v s =
-  check_string lay v;
-  let mask = address_mask lay in
-  State.apply_xor_if s (fun idx -> Bitvec.get v (idx land mask)) lay.h
-
-let apply_w lay v s =
-  check_string lay v;
-  let mask = address_mask lay in
-  let hbit = 1 lsl lay.h in
-  State.apply_phase_if s (fun idx ->
-      idx land hbit <> 0 && Bitvec.get v (idx land mask))
-
-let apply_r lay v s =
-  check_string lay v;
-  let mask = address_mask lay in
-  let hbit = 1 lsl lay.h in
-  State.apply_xor_if s
-    (fun idx -> idx land hbit <> 0 && Bitvec.get v (idx land mask))
-    lay.l
-
-let initial_state ?(ancillas = 0) lay =
-  let s = State.create (data_qubits lay + ancillas) in
-  State.apply_hadamard_block s 0 lay.address_width;
-  s

@@ -8,10 +8,13 @@
     - qubit [2k+1]: the [l] flag;
     - qubits [2k+2 ...]: clean ancillas for lowering.
 
-    Each operator is provided in two interchangeable forms: a {b circuit
-    builder} (gate list, suitable for streaming emission and lowering) and
-    a {b direct state application} (the simulator fast path).  Tests check
-    they agree.
+    This module builds each operator as a circuit (a gate list, for
+    streaming emission and lowering).  The simulator applies them
+    through {!Quantum.State}'s kernels instead: procedure A3 calls
+    [apply_hadamard_block] for U_k, [reflect_uniform] for U_k S_k U_k,
+    and [apply_xor_on_addresses] / [apply_phase_on_addresses] for V_x,
+    W_y and R_y, a word of input bits per call.  Tests check each
+    builder against that kernel.
 
     Per-bit builders ([v_bit], [w_bit], [r_bit]) emit the gates for one
     input bit; an online machine calls them as it reads each bit, so it
@@ -56,16 +59,3 @@ val r_y : layout -> Mathx.Bitvec.t -> Gate.t list
 val grover_step : layout -> x:Mathx.Bitvec.t -> y:Mathx.Bitvec.t -> z:Mathx.Bitvec.t -> Gate.t list
 (** One iteration of the loop in step 3 of procedure A3:
     [U_k S_k U_k V_z W_y V_x] (V_x applied first). *)
-
-(** {1 Direct state application (simulator fast paths)} *)
-
-val apply_u_k : layout -> Quantum.State.t -> unit
-val apply_s_k : layout -> Quantum.State.t -> unit
-(** Applies the true S_k (with its sign convention: -1 on address <> 0). *)
-
-val apply_v : layout -> Mathx.Bitvec.t -> Quantum.State.t -> unit
-val apply_w : layout -> Mathx.Bitvec.t -> Quantum.State.t -> unit
-val apply_r : layout -> Mathx.Bitvec.t -> Quantum.State.t -> unit
-
-val initial_state : ?ancillas:int -> layout -> Quantum.State.t
-(** [|phi_k> = 2^{-k} sum_i |i>|0>|0>], with optional extra ancilla qubits. *)

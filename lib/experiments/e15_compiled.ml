@@ -46,15 +46,7 @@ let rows ?(quick = false) ~seed () =
     [ ("111#111", true); ("1111#111", false); ("#", true); ("111111#111111", true) ]
   in
   let fp p t =
-    let f u =
-      let acc = ref 0 and pw = ref 1 in
-      String.iter
-        (fun c ->
-          if c = '1' then acc := (!acc + !pw) mod p;
-          pw := !pw * t mod p)
-        u;
-      !acc
-    in
+    let f u = Fingerprint.of_bitvec ~p ~t (Bitvec.of_string u) in
     let pair u v = (u ^ "#" ^ v, f u = f v) in
     [ pair "1011" "1011"; pair "1011" "1010"; pair "11010" "01011"; pair "" "" ]
   in

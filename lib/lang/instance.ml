@@ -70,7 +70,8 @@ let corrupt_repetition rng ~base =
         Printf.sprintf "bit %d of copy %d in repetition %d flipped" victim_bit
           victim_copy victim_rep
       in
-      { input = Bytes.to_string b; label = Not_in_language (Inconsistent what); k }
+      (* [b] is this call's own copy and is not touched again. *)
+      { input = Bytes.unsafe_to_string b; label = Not_in_language (Inconsistent what); k }
 
 let malformed rng ~k =
   let m = m_of_k k in
@@ -80,7 +81,7 @@ let malformed rng ~k =
   let replace at c =
     let b = Bytes.of_string s in
     Bytes.set b at c;
-    Bytes.to_string b
+    Bytes.unsafe_to_string b
   in
   let input, what =
     match defect with

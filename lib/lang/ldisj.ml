@@ -52,12 +52,12 @@ let shape_k input =
   done;
   let k = !k in
   if k < 1 then Error "no leading 1-run"
-  else if k >= 30 then Error "k too large"
+  (* Above k = 20 the layout is longer than max_int and [string_length]
+     wraps; below it, the reads that follow rely on every offset lying
+     inside an input of the exact length. *)
+  else if k > 20 then Error "k too large"
   else if k >= n || input.[k] <> '#' then Error "missing '#' after 1^k"
-  (* Above k = 20 the layout is longer than max_int, [string_length]
-     wraps, and no input can have the length it stands for; the reads
-     below rely on every offset lying inside the input. *)
-  else if k > 20 || n <> string_length ~k then
+  else if n <> string_length ~k then
     Error (Printf.sprintf "length %d, expected %d for k=%d" n (string_length ~k) k)
   else
     let m = m_of_k k in

@@ -38,7 +38,23 @@ let of_string s =
     s;
   t
 
-let to_string t = String.init t.len (fun i -> if get t i then '1' else '0')
+let iter_words f t =
+  let last = words_for t.len - 1 in
+  for w = 0 to last do
+    f t.words.(w) (if w < last then bits_per_word else t.len - (w * bits_per_word))
+  done
+
+let to_string t =
+  let b = Bytes.create t.len in
+  let pos = ref 0 in
+  iter_words
+    (fun bits len ->
+      for i = 0 to len - 1 do
+        Bytes.unsafe_set b (!pos + i) (if (bits lsr i) land 1 = 1 then '1' else '0')
+      done;
+      pos := !pos + len)
+    t;
+  Bytes.unsafe_to_string b
 
 let random rng len =
   let t = create len in

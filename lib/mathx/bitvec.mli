@@ -26,6 +26,13 @@ val of_string : string -> t
 val to_string : t -> string
 (** Inverse of {!of_string}. *)
 
+val iter_words : (int -> int -> unit) -> t -> unit
+(** [iter_words f v] applies [f bits len] to each storage word in
+    order: [len] is the number of payload bits it holds (62, or fewer
+    in the last word), bit [i] of [bits] is [v]'s bit
+    [62 * word + i], and [bits] is zero above [len].  No call is made
+    for the empty vector. *)
+
 val random : Rng.t -> int -> t
 (** [random rng n] draws each bit independently and uniformly. *)
 

@@ -182,40 +182,86 @@ let test_wire_rejects_garbage () =
 
 (* --------------------------------------------------- structured operators *)
 
+(* |phi_k> = 2^{-k} sum_i |i>|0>|0>, as A3 prepares it. *)
+let uniform_state lay =
+  let s = State.create (Ops.data_qubits lay) in
+  State.apply_hadamard_block s 0 lay.Ops.address_width;
+  s
+
+(* A state whose amplitudes differ across addresses and [h]. *)
+let nontrivial_state lay =
+  let s = uniform_state lay in
+  State.apply_gate1 s Gates.t 0;
+  State.apply_cnot s ~control:0 ~target:lay.Ops.h;
+  s
+
+(* Each builder against the state kernel A3 calls for it; the input
+   string is handed over a word at a time, as A1's roles carry it. *)
 let test_ops_circuits_match_direct_application () =
   let rng = Rng.create 13 in
-  let k = 1 in
-  let lay = Ops.layout ~k in
-  let nq = Ops.data_qubits lay in
-  let x = Bitvec.random rng 4 and y = Bitvec.random rng 4 in
-  let pairs =
-    [
-      ("u_k", Ops.u_k lay, Ops.apply_u_k lay);
-      ("v_x", Ops.v_x lay x, Ops.apply_v lay x);
-      ("w_y", Ops.w_y lay y, Ops.apply_w lay y);
-      ("r_y", Ops.r_y lay y, Ops.apply_r lay y);
-    ]
-  in
   List.iter
-    (fun (name, gates, direct) ->
-      (* Start from a non-trivial state. *)
-      let s = Ops.initial_state lay in
-      State.apply_gate1 s Gates.t 0;
-      State.apply_cnot s ~control:0 ~target:lay.Ops.h;
-      let via_circuit = State.copy s in
-      Circ.run (Circ.of_gates ~nqubits:nq gates) via_circuit;
-      direct s;
-      check (name ^ " circuit = direct") true (State.approx_equal s via_circuit))
-    pairs
+    (fun k ->
+      let lay = Ops.layout ~k in
+      let width = lay.Ops.address_width in
+      let m = 1 lsl width in
+      let x = Bitvec.random rng m and y = Bitvec.random rng m in
+      let over_words kernel v s =
+        let address = ref 0 in
+        Bitvec.iter_words
+          (fun bits len ->
+            kernel s ~address:!address ~bits;
+            address := !address + len)
+          v
+      in
+      let pairs =
+        [
+          ("u_k", Ops.u_k lay, fun s -> State.apply_hadamard_block s 0 width);
+          ( "v_x",
+            Ops.v_x lay x,
+            over_words
+              (fun s ~address ~bits ->
+                State.apply_xor_on_addresses s ~width ~address ~bits ~target:lay.Ops.h ())
+              x );
+          ( "w_y",
+            Ops.w_y lay y,
+            over_words
+              (fun s ~address ~bits ->
+                State.apply_phase_on_addresses s ~width ~address ~bits
+                  ~require:lay.Ops.h ())
+              y );
+          ( "r_y",
+            Ops.r_y lay y,
+            over_words
+              (fun s ~address ~bits ->
+                State.apply_xor_on_addresses s ~width ~address ~bits
+                  ~require:lay.Ops.h ~target:lay.Ops.l ())
+              y );
+        ]
+      in
+      List.iter
+        (fun (name, gates, direct) ->
+          let s = nontrivial_state lay in
+          let via_circuit = State.copy s in
+          Circ.run (Circ.of_gates ~nqubits:(Ops.data_qubits lay) gates) via_circuit;
+          direct s;
+          check
+            (Printf.sprintf "k=%d %s circuit = direct" k name)
+            true
+            (State.approx_equal s via_circuit))
+        pairs)
+    [ 1; 3 ]
 
 let test_s_k_is_minus_flip_zero () =
-  (* The circuit builder realises S_k up to a global -1; as states the
-     fidelity with the direct application must be 1. *)
+  (* S_k's builder realises S_k up to a global -1, so U_k S_k U_k is
+     the diffusion A3 applies with [reflect_uniform] up to global phase:
+     as states the fidelity must be 1. *)
   let lay = Ops.layout ~k:1 in
-  let s_direct = Ops.initial_state lay in
-  Ops.apply_s_k lay s_direct;
-  let s_circ = Ops.initial_state lay in
-  Circ.run (Circ.of_gates ~nqubits:(Ops.data_qubits lay) (Ops.s_k lay)) s_circ;
+  let s_direct = nontrivial_state lay in
+  State.reflect_uniform s_direct ~width:lay.Ops.address_width;
+  let s_circ = nontrivial_state lay in
+  Circ.run
+    (Circ.of_gates ~nqubits:(Ops.data_qubits lay) (Ops.u_k lay @ Ops.s_k lay @ Ops.u_k lay))
+    s_circ;
   Alcotest.(check (float 1e-9)) "same up to global phase" 1.0
     (State.fidelity s_direct s_circ)
 
@@ -226,7 +272,7 @@ let test_grover_step_is_grover_iteration () =
   let k = 1 in
   let lay = Ops.layout ~k in
   let x = Bitvec.random rng 4 and y = Bitvec.random rng 4 in
-  let s = Ops.initial_state lay in
+  let s = uniform_state lay in
   Circ.run
     (Circ.of_gates ~nqubits:(Ops.data_qubits lay) (Ops.grover_step lay ~x ~y ~z:x))
     s;

@@ -67,13 +67,13 @@ let test_parse_rejections () =
         (Result.map (fun _ -> ()) (Lang.Ldisj.parse input)))
     cases;
   (* At k = 21, string_length wraps to 22 + 3 * 2^21.  An input of that
-     length is rejected on its length (the figure is the wrapped one),
-     before any block is read: a block of 2^42 bits would run past its
-     end. *)
+     length is rejected as k too large, before its length is compared
+     with the wrapped figure or any block is read: a block of 2^42 bits
+     would run past its end. *)
   let wrapped = String.make 21 '1' ^ "#" ^ String.make (3 lsl 21) '0' in
   check_int "wrapped length" (String.length wrapped) (Lang.Ldisj.string_length ~k:21);
   Alcotest.(check (result reject string))
-    "k = 21 at the wrapped length" (Error "length 6291478, expected 6291478 for k=21")
+    "k = 21 at the wrapped length" (Error "k too large")
     (Result.map (fun _ -> ()) (Lang.Ldisj.parse wrapped))
 
 (* Every byte of the layout, changed alone, at k = 1..3.  A bit flipped

@@ -224,16 +224,30 @@ let test_wilson_interval () =
 
 (* --------------------------------------------------------- fingerprint *)
 
+(* [of_bitvec] against the per-bit chain, at lengths that cross word
+   boundaries and at one modulus per fold path: Shoup's below 2^31,
+   [mulmod] above it, and E10's 61-bit prime. *)
 let test_fingerprint_streaming_matches_batch () =
   let rng = Rng.create 9 in
-  let p = Primes.fingerprint_prime 2 in
-  for _ = 1 to 50 do
-    let v = Bitvec.random rng 16 in
-    let t = Rng.int rng p in
-    let s = Fingerprint.create ~p ~t in
-    Bitvec.iteri (fun _ b -> Fingerprint.feed s b) v;
-    check_int "stream = batch" (Fingerprint.of_bitvec ~p ~t v) (Fingerprint.value s)
-  done
+  List.iter
+    (fun p ->
+      for len = 0 to 200 do
+        let v = Bitvec.random rng len in
+        let t = Rng.int rng p in
+        let pow = ref 1 and expected = ref 0 in
+        for i = 0 to len - 1 do
+          if Bitvec.get v i then expected := Modarith.addmod !expected !pow p;
+          pow := Modarith.mulmod !pow t p
+        done;
+        check_int
+          (Printf.sprintf "p %d len %d" p len)
+          !expected (Fingerprint.of_bitvec ~p ~t v)
+      done)
+    [
+      Primes.fingerprint_prime 2;
+      Primes.fingerprint_prime 8;
+      Primes.next_prime ((1 lsl 60) + 1);
+    ]
 
 let test_fingerprint_distinguishes () =
   (* With a fresh random point, two strings differing in one bit collide
@@ -248,22 +262,12 @@ let test_fingerprint_distinguishes () =
     let v' = Bitvec.copy v in
     let pos = Rng.int rng m in
     Bitvec.set v' pos (not (Bitvec.get v' pos));
-    let t = Fingerprint.random_point rng ~p in
+    let t = Rng.int rng p in
     if Fingerprint.of_bitvec ~p ~t v = Fingerprint.of_bitvec ~p ~t v' then
       incr collisions
   done;
   check "collision rate below bound" true
     (float_of_int !collisions /. float_of_int trials < 16.0 /. float_of_int p +. 0.05)
-
-let test_fingerprint_reset_and_meta () =
-  let s = Fingerprint.create ~p:257 ~t:10 in
-  Fingerprint.feed s true;
-  Fingerprint.feed s false;
-  check_int "fed" 2 (Fingerprint.fed s);
-  Fingerprint.reset s;
-  check_int "reset count" 0 (Fingerprint.fed s);
-  check_int "reset value" 0 (Fingerprint.value s);
-  check "space bits positive" true (Fingerprint.space_bits s > 0)
 
 (* ------------------------------------------------------------- parallel *)
 
@@ -345,6 +349,18 @@ let qcheck_tests =
             0 (Bitvec.ones v)
         in
         Fingerprint.of_bitvec ~p ~t v = expected);
+    Test.make ~name:"bitvec to_string = per-bit get" ~count:20 int (fun seed ->
+        let rng = Rng.create seed in
+        List.for_all
+          (fun len ->
+            let v = Bitvec.random rng len in
+            let s = Bitvec.to_string v in
+            String.length s = len
+            && List.for_all
+                 (fun i -> s.[i] = if Bitvec.get v i then '1' else '0')
+                 (List.init len Fun.id)
+            && Bitvec.equal (Bitvec.of_string s) v)
+          (List.init 201 Fun.id));
   ]
 
 let suite =
@@ -379,7 +395,6 @@ let suite =
     ("stats wilson", `Quick, test_wilson_interval);
     ("fingerprint streaming=batch", `Quick, test_fingerprint_streaming_matches_batch);
     ("fingerprint distinguishes", `Quick, test_fingerprint_distinguishes);
-    ("fingerprint reset", `Quick, test_fingerprint_reset_and_meta);
     ("parallel = sequential", `Quick, test_parallel_matches_sequential);
     ("parallel count", `Quick, test_parallel_count);
     ("parallel guards", `Quick, test_parallel_empty_and_guards);

@@ -267,7 +267,7 @@ let drive_input ~seed ~kind =
       Bytes.set b (Rng.int rng (Bytes.length b)) "x2 ".[Rng.int rng 3];
       Bytes.to_string b
 
-(* A2's word step against the per-bit chain it replaces. *)
+(* A2's word fold against the per-bit chain it replaces. *)
 let chained_step ~prime ~point ~pow ~acc ~bits ~len =
   let pow = ref pow and acc = ref acc in
   for i = 0 to len - 1 do
@@ -323,7 +323,9 @@ let drive_qcheck_tests =
            the end would miss it. *)
         List.for_all
           (fun len ->
-            Oqsc.A2.step_word ~prime ~point ~pow ~acc ~bits ~len
+            Fingerprint.fold_word ~p:prime ~point
+              ~recip:(Fingerprint.reciprocal ~p:prime ~point)
+              ~pow ~acc ~bits ~len
             = chained_step ~prime ~point ~pow ~acc ~bits ~len)
           (List.init 63 Fun.id));
     Test.make ~name:"a1 drive = feed, with A2 and A3" ~count:200 case
