@@ -34,17 +34,16 @@ let mod3_ones =
 
 let () =
   Program.validate mod3_ones;
-  let machine = Program.compile mod3_ones in
-  Optm.validate machine;
+  let compiled = Program.compile mod3_ones in
   Printf.printf "program: %d instructions -> compiled OPTM with %d control states\n\n"
     (Array.length mod3_ones.Program.code)
-    machine.Optm.num_states;
+    (Program.states compiled);
 
   Printf.printf "%-14s %-10s %-10s %-8s %s\n" "input" "interp" "compiled" "steps" "tape cells";
   List.iter
     (fun input ->
       let reference = Program.interpret mod3_ones input in
-      let verdict, stats = Optm.run_deterministic machine input in
+      let verdict, stats = Program.run compiled input in
       let show = function Some true -> "accept" | Some false -> "reject" | None -> "spin" in
       Printf.printf "%-14s %-10s %-10s %-8d %d\n"
         (Printf.sprintf "%S" input)
@@ -54,7 +53,7 @@ let () =
 
   (* The tape really holds the binary counter: inspect the configuration
      right after the machine scans the 5th symbol of "11111". *)
-  (match Optm.config_at_cut_deterministic machine "11111" ~cut:4 with
+  (match Optm.config_at_cut_deterministic (Program.machine compiled) "11111" ~cut:4 with
   | Some c ->
       Printf.printf
         "\nat the 5th symbol of \"11111\": control state %d, work tape %S\n\

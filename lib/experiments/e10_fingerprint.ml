@@ -43,12 +43,12 @@ let rows ?(quick = false) ~seed () =
   let rng = Rng.create seed in
   let ks = if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
   let trials = if quick then 50 else 2000 in
+  (* Wide-prime ablation: direct fingerprint comparison with a 61-bit
+     prime on the same corruption model. *)
+  let wide_prime = Primes.next_prime ((1 lsl 60) + 1) in
   List.map
     (fun k ->
       let false_pass, prime_bits = a2_false_pass (Rng.split rng) ~k ~trials in
-      (* Wide-prime ablation: direct fingerprint comparison with a 61-bit
-         prime on the same corruption model. *)
-      let wide_prime = Primes.next_prime ((1 lsl 60) + 1) in
       let wide_misses = ref 0 in
       let m = 1 lsl (2 * k) in
       for _ = 1 to trials do

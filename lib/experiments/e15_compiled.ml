@@ -14,12 +14,11 @@ type row = {
    largest input's stats. *)
 let gallery_row program workload =
   let machine = Program.compile program in
-  Optm.validate machine;
   let agree = ref true in
   let steps = ref 0 and cells = ref 0 and longest = ref 0 in
   List.iter
     (fun (input, expected) ->
-      let v, stats = Optm.run_deterministic ~max_steps:20_000_000 machine input in
+      let v, stats = Program.run ~max_steps:20_000_000 machine input in
       if v <> Some expected then agree := false;
       if String.length input >= !longest then begin
         longest := String.length input;
@@ -28,8 +27,8 @@ let gallery_row program workload =
       end)
     workload;
   {
-    machine = machine.Optm.name;
-    control_states = machine.Optm.num_states;
+    machine = Program.name machine;
+    control_states = Program.states machine;
     sample_input_length = !longest;
     steps = !steps;
     tape_cells = !cells;

@@ -84,8 +84,8 @@ let counter_row max_a =
     let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
     max 2 (bits 0 max_a)
   in
-  let program = Machine.Program.run_length_equal ~width in
-  let machine = Machine.Program.compile program in
+  let compiled = Machine.Program.compile (Machine.Program.run_length_equal ~width) in
+  let machine = Machine.Program.machine compiled in
   let census = Machine.Census.create () in
   let peak = ref 0 in
   for a = 0 to max_a do
@@ -97,7 +97,7 @@ let counter_row max_a =
           (Printf.sprintf "%d|%d|%s" c.Machine.Optm.state c.Machine.Optm.work_pos
              c.Machine.Optm.work)
     | None -> ());
-    let _, stats = Machine.Optm.run_deterministic machine input in
+    let _, stats = Machine.Program.run compiled input in
     peak := max !peak stats.Machine.Optm.peak_work_cells
   done;
   let configs = Machine.Census.distinct census ~cut:0 in
@@ -120,7 +120,8 @@ let counter_row max_a =
    randomized-equality collapse that Theorem 3.2 rules out for DISJ. *)
 let fingerprint_row m =
   let prime = 17 and t = 3 in
-  let machine = Machine.Program.compile (Machine.Program.fingerprint_eq ~p:prime ~t) in
+  let compiled = Machine.Program.compile (Machine.Program.fingerprint_eq ~p:prime ~t) in
+  let machine = Machine.Program.machine compiled in
   let census = Machine.Census.create () in
   let peak = ref 0 in
   for v = 0 to (1 lsl m) - 1 do
@@ -132,7 +133,7 @@ let fingerprint_row m =
           (Printf.sprintf "%d|%d|%s" c.Machine.Optm.state c.Machine.Optm.work_pos
              c.Machine.Optm.work)
     | None -> ());
-    let _, stats = Machine.Optm.run_deterministic machine input in
+    let _, stats = Machine.Program.run compiled input in
     peak := max !peak stats.Machine.Optm.peak_work_cells
   done;
   let configs = Machine.Census.distinct census ~cut:0 in

@@ -410,6 +410,7 @@ let keyed_bit = 1
 let halt_bit = 2
 let accept_bit = 4
 let echo = 4
+let advance_bit = 1 lsl 8
 let next_shift = 18
 
 (* [work] is the work symbol the step was computed with.  A write of
@@ -425,7 +426,7 @@ let pack ~keyed ~work step ~next_id =
       let move = match move with Optm.Left -> 0 | Optm.Right -> 1 | Optm.Stay -> 2 in
       let emit = match emit with None -> 0 | Some c -> Char.code c + 1 in
       keyed lor (write lsl 3) lor (move lsl 6)
-      lor (if advance then 1 lsl 8 else 0)
+      lor (if advance then advance_bit else 0)
       lor (emit lsl 9) lor (next_id next lsl next_shift)
 
 let halt_accept = Optm.Halt true
@@ -445,7 +446,7 @@ let unpack e ~work =
             Optm.next_state = e lsr next_shift;
             write;
             work_move;
-            advance_input = e land (1 lsl 8) <> 0;
+            advance_input = e land advance_bit <> 0;
             emit;
           },
           1.0 );
@@ -456,6 +457,29 @@ let unpack e ~work =
    chunks, never by copying entries. *)
 let chunk_bits = 5
 let chunk_states = 1 lsl chunk_bits
+
+type compiled = { label : string; num_states : int; chunks : int array array }
+
+let states c = c.num_states
+let name c = c.label
+
+(* The first of [state]'s four entries; its [keyed_bit] says which
+   symbol picks among them. *)
+let entry_base state = (state land (chunk_states - 1)) lsl 2
+
+(* Every step the table can take lands on a state: checked once, at
+   compile time, so neither [run] nor [machine]'s [delta] checks it per
+   step. *)
+let check_next_states { label; num_states; chunks } =
+  for state = 0 to num_states - 1 do
+    let chunk = chunks.(state lsr chunk_bits) and base = entry_base state in
+    for key = 0 to 3 do
+      let e = chunk.(base + key) in
+      if e land halt_bit = 0 && e lsr next_shift >= num_states then
+        Fmt.failwith "OPTM %s: transition to state %d outside [0, %d)" label
+          (e lsr next_shift) num_states
+    done
+  done
 
 let compile p =
   validate p;
@@ -484,7 +508,7 @@ let compile p =
         end;
         let keyed = keyed_on_input p micro in
         let chunk = !chunks.(i lsr chunk_bits) in
-        let base = (i land (chunk_states - 1)) lsl 2 in
+        let base = entry_base i in
         for key = 0 to 3 do
           let input = if keyed then inputs.(key) else None in
           let work = if keyed then Symbol.Blank else works.(key) in
@@ -493,24 +517,105 @@ let compile p =
         i
   in
   ignore (id_of (At 0));
-  let chunks = !chunks and num_states = !count in
-  let name = Printf.sprintf "compiled:%s" p.name in
+  let c = { label = Printf.sprintf "compiled:%s" p.name; num_states = !count; chunks = !chunks } in
+  check_next_states c;
+  c
+
+let machine { label; num_states; chunks } =
   {
-    Optm.name;
+    Optm.name = label;
     num_states;
     start_state = 0;
     delta =
       (fun ~state ~input ~work ->
         if state < 0 || state >= num_states then
-          Fmt.invalid_arg "OPTM %s: no state %d" name state;
+          Fmt.invalid_arg "OPTM %s: no state %d" label state;
         let chunk = Array.unsafe_get chunks (state lsr chunk_bits) in
-        let base = (state land (chunk_states - 1)) lsl 2 in
+        let base = entry_base state in
         let key =
           if Array.unsafe_get chunk base land keyed_bit <> 0 then input_key input
           else work_key work
         in
         unpack (Array.unsafe_get chunk (base + key)) ~work);
   }
+
+let not_a_symbol ch : int =
+  ignore (Symbol.of_char ch);
+  assert false (* [of_char] raised: [ch] is none of 0, 1, # *)
+
+(* The stepper: [Optm.run_deterministic]'s loop on the packed entries.
+   The work tape holds each cell's table key (0 blank, 1-3 the symbols
+   [works.(c)]), so a cell is its own index into a state's entries, and
+   a step allocates nothing.  As in [Optm], the input cell is read on
+   every step, so a character outside {0,1,#} raises [Symbol.of_char]'s
+   [Invalid_argument] as soon as the input head reaches it. *)
+let exec ?output ?(max_steps = 10_000_000) c input =
+  let chunks = c.chunks and len = String.length input in
+  let tape = ref (Bytes.make 16 '\000') in
+  let state = ref 0 and input_pos = ref 0 and work_pos = ref 0 and peak = ref 0 in
+  let steps = ref 0 and halted = ref false and accepted = ref false in
+  while (not !halted) && !steps < max_steps do
+    let input_key =
+      if !input_pos >= len then 0
+      else
+        match String.unsafe_get input !input_pos with
+        | '0' -> 1
+        | '1' -> 2
+        | '#' -> 3
+        | ch -> not_a_symbol ch
+    in
+    (* [work_pos] is always inside the tape: it starts at 0 and every
+       move right grows the tape first. *)
+    let pos = !work_pos in
+    let chunk = Array.unsafe_get chunks (!state lsr chunk_bits) in
+    let base = entry_base !state in
+    let key =
+      if Array.unsafe_get chunk base land keyed_bit <> 0 then input_key
+      else Char.code (Bytes.unsafe_get !tape pos)
+    in
+    let e = Array.unsafe_get chunk (base + key) in
+    incr steps;
+    if e land halt_bit <> 0 then begin
+      halted := true;
+      accepted := e land accept_bit <> 0
+    end
+    else begin
+      let emit = (e lsr 9) land 0x1ff in
+      (if emit <> 0 then
+         match output with
+         | Some buf -> Buffer.add_char buf (Char.unsafe_chr (emit - 1))
+         | None -> ());
+      let write = (e lsr 3) land 7 in
+      if write <> echo then Bytes.unsafe_set !tape pos (Char.unsafe_chr write);
+      if pos >= !peak then peak := pos + 1;
+      (match (e lsr 6) land 3 with
+      | 0 -> if pos > 0 then work_pos := pos - 1
+      | 1 ->
+          let right = pos + 1 in
+          if right >= Bytes.length !tape then begin
+            let bigger = Bytes.make (2 * (right + 1)) '\000' in
+            Bytes.blit !tape 0 bigger 0 (Bytes.length !tape);
+            tape := bigger
+          end;
+          work_pos := right;
+          if right >= !peak then peak := right + 1
+      | _ -> ());
+      if e land advance_bit <> 0 then incr input_pos;
+      state := e lsr next_shift
+    end
+  done;
+  let stats = { Optm.steps = !steps; peak_work_cells = !peak; halted = !halted } in
+  Obs.Scope.incr "optm.runs";
+  Obs.Scope.add "optm.steps" stats.Optm.steps;
+  Obs.Scope.gauge_observe "optm.work_cells" stats.Optm.peak_work_cells;
+  ((if !halted then Some !accepted else None), stats)
+
+let run ?max_steps c input = exec ?max_steps c input
+
+let run_with_output ?max_steps c input =
+  let buf = Buffer.create 64 in
+  let result = exec ~output:buf ?max_steps c input in
+  (result, Buffer.contents buf)
 
 let compile_reference p =
   validate p;
@@ -563,8 +668,6 @@ let compile_reference p =
                   1.0 );
               ]);
   }
-
-let compiled_states p = (compile p).Optm.num_states
 
 (* ------------------------------------------------------ worked programs *)
 

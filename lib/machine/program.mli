@@ -5,15 +5,17 @@
     {e real} machines.  This module closes the gap with a small
     imperative language — bounded binary registers, one-way input
     reads, conditional jumps, output emission — and a compiler that
-    produces a genuine {!Optm.t}: registers live on the work tape as
+    produces a genuine OPTM: registers live on the work tape as
     fixed-width binary fields, and every instruction expands into
     head-walking micro-states (seek, ripple-carry, bitwise compare).
 
-    The compiled machine is a first-class OPTM: it runs on the standard
-    simulator, its work-tape footprint is the real Θ(registers · width)
-    cell count, and the Fact 2.2 / Theorem 3.6 census machinery applies
-    to it unchanged.  A direct interpreter for the same language provides
-    the reference semantics the compiler is tested against.
+    The compiled machine is a first-class OPTM: {!run} steps it on its
+    transition table with the standard simulator's semantics, its
+    work-tape footprint is the real Θ(registers · width) cell count, and
+    as an {!Optm.t} ({!machine}) the Fact 2.2 / Theorem 3.6 census
+    machinery applies to it unchanged.  A direct interpreter for the
+    same language provides the reference semantics the compiler is
+    tested against.
 
     Model notes: registers hold values modulo 2^width ({!Inc} wraps);
     reads consume one input symbol and branch on it; programs halt by
@@ -62,20 +64,50 @@ val interpret : ?max_steps:int -> t -> string -> run_result
 
 (** {1 Compilation} *)
 
-val compile : t -> Optm.t
+type compiled
+(** A compiled machine: its transition table, state count and name. *)
+
+val compile : t -> compiled
 (** The real Turing machine.  Control states are the micro-states of the
     seek/carry/compare walks; the work tape holds the registers, register
     [r] occupying cells [r*width .. (r+1)*width - 1], least significant
     bit first.
 
     The micro-states are enumerated eagerly from the start and their
-    transitions compiled to a table, so [delta] is an array read decoded
-    into an {!Optm.step}, and {!Optm.validate} checks every entry of the
-    table.  The table rests on one invariant of the micro-step semantics:
-    each micro-state branches on exactly one symbol.  A micro-state about
-    to run a [Read] branches on the input cell and writes back the work
-    cell it saw; every other micro-state ignores the input cell.  A state
-    therefore has four entries, not sixteen. *)
+    transitions compiled to a table of packed ints.  The table rests on
+    one invariant of the micro-step semantics: each micro-state branches
+    on exactly one symbol.  A micro-state about to run a [Read] branches
+    on the input cell and writes back the work cell it saw; every other
+    micro-state ignores the input cell.  A state therefore has four
+    entries, not sixteen.  Every entry that does not halt is checked
+    once, here, to step to a state of the table, so neither {!run} nor
+    {!machine}'s [delta] checks a step's next state.
+    @raise Failure on an entry stepping outside the table. *)
+
+val states : compiled -> int
+(** Number of control states (size measure for reports). *)
+
+val name : compiled -> string
+(** ["compiled:"] followed by the program's name. *)
+
+val run : ?max_steps:int -> compiled -> string -> bool option * Optm.stats
+(** Runs the machine on its table: {!Optm.run_deterministic} on
+    [machine c], without decoding a step or allocating per step.  Same
+    verdict, stats, step limit (default 10^7) and [optm.*] {!Obs}
+    records.  The input cell is read on every step, as there.
+    @raise Invalid_argument from {!Symbol.of_char} at the step that
+    finds the input head on a character outside [{0,1,#}]. *)
+
+val run_with_output :
+  ?max_steps:int -> compiled -> string -> (bool option * Optm.stats) * string
+(** Like {!run}, also returning the output-tape contents. *)
+
+val machine : compiled -> Optm.t
+(** The same machine as an {!Optm.t}, for [Optm]'s generic consumers
+    (configurations at a cut, breadth-first exploration, the Theorem 3.6
+    reduction) and as {!run}'s differential reference: [delta] reads the
+    table and decodes the entry into an {!Optm.step}, and raises
+    [Invalid_argument] on a state past the table. *)
 
 val compile_reference : t -> Optm.t
 (** The slow reference for {!compile}, kept for differential tests: the
@@ -83,14 +115,11 @@ val compile_reference : t -> Optm.t
     sixteen (input, work) pairs of each micro-state, and with a [delta]
     that re-derives the micro-step and looks up the next state's id on
     every call.  Where the one-symbol invariant holds, its [delta] equals
-    {!compile}'s on every state and every pair of symbols, and its state
-    count is the same.
+    that of {!machine} on {!compile}'s table on every state and every
+    pair of symbols, and its state count is the same.
     @raise Failure from [delta] on a step to a micro-state the
     enumeration did not reach (impossible if the enumeration is
     complete). *)
-
-val compiled_states : t -> int
-(** Number of control states of {!compile} (size measure for reports). *)
 
 (** {1 Worked programs} *)
 

@@ -65,6 +65,11 @@ if want tests; then
   echo "== tests =="
   dune runtest
 
+  # The suite finds its data files next to its executable, not in the
+  # working directory: run one suite that reads one from the repository
+  # root.
+  ./_build/default/test/test_main.exe test json >"$tmp/test_json_from_root.out"
+
   # dune runtest's benchmark smoke checks seed 2006's digests from
   # bench/e2e/expected.json; the second recorded seed gates here, so
   # both seeds' reproduce and audit documents are checked on every run,

@@ -20,7 +20,7 @@ let test_shape_quadruple_agreement () =
       let a1 = Oqsc.A1.create ws in
       String.iter (fun c -> ignore (Oqsc.A1.feed a1 (Machine.Symbol.of_char c))) input;
       check "streaming A1" true (Oqsc.A1.finished_ok a1);
-      let v, _ = Machine.Optm.run_deterministic ~max_steps:2_000_000 machine input in
+      let v, _ = Machine.Program.run ~max_steps:2_000_000 machine input in
       check "compiled machine" true (v = Some true);
       (* The generator's stream reproduces the same string. *)
       (match Lang.Ldisj.parse input with

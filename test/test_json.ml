@@ -270,7 +270,9 @@ type target = Request | Reply | Shard of (string * Json.t) list * int | Log | Tr
 let fuzz_seeds =
   lazy
     (let mix =
-       In_channel.with_open_text "../examples/serve_mix.ndjson"
+       In_channel.with_open_text
+         (Filename.concat (Filename.dirname Sys.executable_name)
+            "../examples/serve_mix.ndjson")
          In_channel.input_all
        |> String.split_on_char '\n'
        |> List.filter (fun l -> String.trim l <> "")

@@ -13,7 +13,7 @@ let verdict_str = function Some true -> "accept" | Some false -> "reject" | None
 let agree p input =
   let reference = Program.interpret p input in
   let machine = Program.compile p in
-  let (verdict, _), output = Optm.run_deterministic_with_output machine input in
+  let (verdict, _), output = Program.run_with_output machine input in
   Alcotest.(check string)
     (Printf.sprintf "verdict on %S" input)
     (verdict_str reference.Program.verdict)
@@ -76,9 +76,10 @@ let test_validate_rejects () =
 (* ------------------------------------------------------------- compiler *)
 
 let test_compiled_machines_validate () =
-  Optm.validate (Program.compile Program.parity);
-  Optm.validate (Program.compile (Program.run_length_equal ~width:3));
-  Optm.validate (Program.compile Program.beacon)
+  let decoded p = Program.machine (Program.compile p) in
+  Optm.validate (decoded Program.parity);
+  Optm.validate (decoded (Program.run_length_equal ~width:3));
+  Optm.validate (decoded Program.beacon)
 
 let test_compiler_agrees_on_catalogue () =
   List.iter (agree Program.parity) [ ""; "1"; "11"; "10101"; "1#1#"; "0000" ];
@@ -90,7 +91,7 @@ let test_compiler_agrees_on_catalogue () =
 let test_compiled_space_is_registers_times_width () =
   let p = Program.run_length_equal ~width:5 in
   let machine = Program.compile p in
-  let _, stats = Optm.run_deterministic machine "1111#1111" in
+  let _, stats = Program.run machine "1111#1111" in
   (* 2 registers x 5 bits; the head may step one past the last field. *)
   check "tape = register file" true
     (stats.Optm.peak_work_cells >= 5 && stats.Optm.peak_work_cells <= 11)
@@ -98,7 +99,7 @@ let test_compiled_space_is_registers_times_width () =
 let test_compiled_counter_on_tape () =
   (* After counting 5 ones, register 0 holds binary 101 on the tape. *)
   let p = Program.run_length_equal ~width:3 in
-  let machine = Program.compile p in
+  let machine = Program.machine (Program.compile p) in
   let configs = Optm.configs_at_cut machine "11111#11111" ~cut:6 in
   match configs with
   | [ c ] ->
@@ -110,7 +111,7 @@ let test_compiled_counter_on_tape () =
 let test_deterministic_cut_matches_bfs () =
   (* The linear fast path and the exhaustive BFS find the same cut
      configuration on deterministic machines. *)
-  let machine = Program.compile (Program.run_length_equal ~width:3) in
+  let machine = Program.machine (Program.compile (Program.run_length_equal ~width:3)) in
   for a = 0 to 5 do
     let run = String.make a '1' in
     let input = run ^ "#" ^ run in
@@ -127,7 +128,7 @@ let test_census_is_polynomial () =
      configuration per counter value — log-cost messages, unlike the
      copy machine's 2^m. *)
   let p = Program.run_length_equal ~width:3 in
-  let machine = Program.compile p in
+  let machine = Program.machine (Program.compile p) in
   let seen = Hashtbl.create 16 in
   for a = 0 to 7 do
     let run = String.make a '1' in
@@ -139,12 +140,13 @@ let test_census_is_polynomial () =
   check_int "census = family size" 8 (Hashtbl.length seen)
 
 let test_compiled_states_reported () =
-  check "parity compiles small" true (Program.compiled_states Program.parity < 20);
+  let states p = Program.states (Program.compile p) in
+  check "parity compiles small" true (states Program.parity < 20);
   (* Bit-compare walks are O(width) states per bit, so the control grows
      quadratically in the register width. *)
   check "growth is at most quadratic" true
-    (Program.compiled_states (Program.run_length_equal ~width:8)
-    <= 16 * Program.compiled_states (Program.run_length_equal ~width:2))
+    (states (Program.run_length_equal ~width:8)
+    <= 16 * states (Program.run_length_equal ~width:2))
 
 (* The compiled transition table against the slow reference that
    re-derives each micro-step: same state count, and the same step for
@@ -159,7 +161,7 @@ let all_works =
 let test_table_matches_reference () =
   List.iter
     (fun p ->
-      let fast = Program.compile p and slow = Program.compile_reference p in
+      let fast = Program.machine (Program.compile p) and slow = Program.compile_reference p in
       check_int (p.Program.name ^ " states") slow.Optm.num_states fast.Optm.num_states;
       for state = 0 to fast.Optm.num_states - 1 do
         List.iter
@@ -244,7 +246,7 @@ let test_jump_if_lt () =
       let expected = a < b in
       let r = Program.interpret (make a b) "" in
       check (Printf.sprintf "interp %d < %d" a b) true (r.Program.verdict = Some expected);
-      let v, _ = Optm.run_deterministic (Program.compile (make a b)) "" in
+      let v, _ = Program.run (Program.compile (make a b)) "" in
       check (Printf.sprintf "compiled %d < %d" a b) true (v = Some expected))
     [ (0, 0); (0, 1); (1, 0); (7, 8); (8, 7); (15, 15); (5, 13); (13, 5) ]
 
@@ -267,10 +269,10 @@ let test_arith_compiled_matches_interpreter () =
     let expected = (((a + b) * 2) - b) land 63 in
     check_int "interp" expected (run_regs p "").(0);
     let machine = Program.compile p in
-    let v, _ = Optm.run_deterministic machine "" in
+    let v, _ = Program.run machine "" in
     check "compiled accepts" true (v = Some true);
     (* Read the register straight off the final tape. *)
-    let configs = Optm.reachable_configs machine "" in
+    let configs = Optm.reachable_configs (Program.machine machine) "" in
     let final =
       List.fold_left
         (fun acc (c : Optm.config) -> if c.Optm.state > acc.Optm.state then acc else c)
@@ -303,7 +305,7 @@ let test_ldisj_shape_agrees_with_scanner () =
       List.iter
         (fun input ->
           let expect = Lang.Ldisj.well_shaped input in
-          let v, _ = Optm.run_deterministic ~max_steps:2_000_000 machine input in
+          let v, _ = Program.run ~max_steps:2_000_000 machine input in
           check (Printf.sprintf "k=%d len=%d" k (String.length input)) true
             (v = Some expect))
         cases
@@ -315,7 +317,7 @@ let test_ldisj_shape_space_logarithmic () =
   let rng = Mathx.Rng.create 88 in
   let cells k =
     let input = (Lang.Instance.disjoint_pair rng ~k).Lang.Instance.input in
-    let _, stats = Optm.run_deterministic ~max_steps:5_000_000 machine input in
+    let _, stats = Program.run ~max_steps:5_000_000 machine input in
     stats.Optm.peak_work_cells
   in
   let c1 = cells 1 and c3 = cells 3 in
@@ -329,7 +331,7 @@ let test_ldisj_shape_rejects_oversized_k () =
   let machine = Program.compile (Program.ldisj_shape ~width:5) in
   let rng = Mathx.Rng.create 89 in
   let input = (Lang.Instance.disjoint_pair rng ~k:3).Lang.Instance.input in
-  let v, _ = Optm.run_deterministic ~max_steps:2_000_000 machine input in
+  let v, _ = Program.run ~max_steps:2_000_000 machine input in
   check "overflow guard rejects" true (v = Some false)
 
 (* ---------------------------------------------------------- fingerprint *)
@@ -347,7 +349,7 @@ let test_fingerprint_machine_semantics () =
   let p = 17 and t = 3 in
   let prog = Program.fingerprint_eq ~p ~t in
   let machine = Program.compile prog in
-  Optm.validate machine;
+  Optm.validate (Program.machine machine);
   let rng = Mathx.Rng.create 86 in
   for _ = 1 to 25 do
     let len = Mathx.Rng.int rng 6 in
@@ -361,14 +363,14 @@ let test_fingerprint_machine_semantics () =
     in
     let vi = (Program.interpret ~max_steps:10_000_000 prog input).Program.verdict in
     check (Printf.sprintf "interp %s" input) true (vi = Some expected);
-    let vc, _ = Optm.run_deterministic machine input in
+    let vc, _ = Program.run machine input in
     check (Printf.sprintf "compiled %s" input) true (vc = Some expected)
   done
 
 let test_fingerprint_census_is_sketch_sized () =
   (* Over all u of length 5, the census at '#' stays far below 2^5 —
      bounded by the distinct (acc, pow) sketch values. *)
-  let machine = Program.compile (Program.fingerprint_eq ~p:17 ~t:3) in
+  let machine = Program.machine (Program.compile (Program.fingerprint_eq ~p:17 ~t:3)) in
   let seen = Hashtbl.create 64 in
   for v = 0 to 31 do
     let u = String.init 5 (fun i -> if v lsr i land 1 = 1 then '1' else '0') in
@@ -465,6 +467,94 @@ let micro_steps_per_step (p : Program.t) =
   let w = p.Program.width in
   4 * w * ((p.Program.registers * w) + 2)
 
+(* [Program.run] against the simulator on the decoded view: the same
+   verdict, stats, output and [optm.*] records, or the same exception. *)
+let differential_programs =
+  [
+    Program.parity;
+    Program.run_length_equal ~width:5;
+    Program.beacon;
+    Program.fingerprint_eq ~p:17 ~t:3;
+    Program.ldisj_shape ~width:5;
+    Program.ldisj_shape ~width:7;
+  ]
+
+let differential_machines = lazy (Array.of_list (List.map Program.compile differential_programs))
+
+(* Members of L_DISJ's shape at k = 1, 2, so the shape machines also run
+   long accepting paths, not only early rejections. *)
+let shape_members =
+  lazy
+    (let rng = Mathx.Rng.create 92 in
+     List.init 4 (fun i ->
+         (Lang.Instance.disjoint_pair (Mathx.Rng.split rng) ~k:(1 + (i land 1))).Lang.Instance.input))
+
+let observed run =
+  let sink = Obs.create () in
+  let result =
+    match Obs.Scope.with_sink sink run with
+    | r -> Ok r
+    | exception Invalid_argument msg -> Error msg
+  in
+  ( result,
+    Obs.count sink "optm.runs",
+    Obs.count sink "optm.steps",
+    Obs.gauge_level sink "optm.work_cells",
+    Obs.gauge_peak sink "optm.work_cells" )
+
+let stepper_matches_simulator (index, input, max_steps) =
+  let compiled = (Lazy.force differential_machines).(index) in
+  let machine = Program.machine compiled in
+  observed (fun () -> Program.run ?max_steps compiled input)
+  = observed (fun () -> Optm.run_deterministic ?max_steps machine input)
+  && observed (fun () -> Program.run_with_output ?max_steps compiled input)
+     = observed (fun () -> Optm.run_deterministic_with_output ?max_steps machine input)
+
+let differential_case =
+  let open QCheck.Gen in
+  let symbol = oneofl [ '0'; '1'; '#' ] in
+  let* index = int_bound (List.length differential_programs - 1) in
+  let* base =
+    frequency
+      [
+        (3, string_size ~gen:symbol (int_bound 40));
+        (1, oneofl (Lazy.force shape_members));
+      ]
+  in
+  let* input =
+    frequency
+      [
+        (3, return base);
+        ( 1,
+          let+ pos = int_bound (String.length base) and+ bad = oneofl [ 'x'; '2'; ' '; '\n' ] in
+          if pos = String.length base then base ^ String.make 1 bad
+          else String.mapi (fun i c -> if i = pos then bad else c) base );
+      ]
+  in
+  let+ max_steps = frequency [ (3, return None); (1, map Option.some (int_bound 300)) ] in
+  (index, input, max_steps)
+
+let show_case (index, input, max_steps) =
+  Printf.sprintf "%s on %S, max_steps %s" (List.nth differential_programs index).Program.name
+    input
+    (match max_steps with None -> "default" | Some n -> string_of_int n)
+
+let test_run_allocates_per_run () =
+  (* The stepper allocates its tape, the stats and the result, never a
+     step: a run of 421,471 steps allocates a few dozen words. *)
+  let machine = Program.compile (Program.ldisj_shape ~width:7) in
+  let input =
+    (Lang.Instance.disjoint_pair (Mathx.Rng.create 93) ~k:3).Lang.Instance.input
+  in
+  ignore (Program.run machine input);
+  let before = Gc.minor_words () in
+  let v, stats = Program.run machine input in
+  let words = Gc.minor_words () -. before in
+  check "accepts" true (v = Some true);
+  check "a long run" true (stats.Optm.steps > 400_000);
+  if words > 1_000.0 then
+    Alcotest.failf "%.0f minor words over %d steps" words stats.Optm.steps
+
 let qcheck_tests =
   let open QCheck in
   let input_gen =
@@ -476,6 +566,9 @@ let qcheck_tests =
       Gen.(pair program_gen (string_size ~gen:(oneofl [ '0'; '1'; '#' ]) (int_bound 12)))
   in
   [
+    Test.make ~name:"table stepper = simulator on the decoded view" ~count:400
+      (make ~print:show_case differential_case)
+      stepper_matches_simulator;
     Test.make ~name:"compiled random program = interpreter" ~count:300 ~max_gen:1_000
       ~if_assumptions_fail:(`Fatal, 0.5) program_and_input
       (fun (p, input) ->
@@ -487,13 +580,13 @@ let qcheck_tests =
                machine cannot halt within the interpreter's cap either.
                The case is checked, then discarded: it is no pass. *)
             let (v, _), _ =
-              Optm.run_deterministic_with_output ~max_steps:interpret_cap machine input
+              Program.run_with_output ~max_steps:interpret_cap machine input
             in
             if v <> None then Test.fail_report "machine halts where the interpreter diverges";
             assume_fail ()
         | Some _ ->
             let (v, _), output =
-              Optm.run_deterministic_with_output
+              Program.run_with_output
                 ~max_steps:(interpret_cap * micro_steps_per_step p)
                 machine input
             in
@@ -502,22 +595,20 @@ let qcheck_tests =
       input_gen
       (fun input ->
         let reference = Program.interpret Program.parity input in
-        let v, _ = Optm.run_deterministic (Program.compile Program.parity) input in
+        let v, _ = Program.run (Program.compile Program.parity) input in
         v = reference.Program.verdict);
     Test.make ~name:"compiled run-length = interpreter on random inputs" ~count:100
       input_gen
       (fun input ->
         let p = Program.run_length_equal ~width:5 in
         let reference = Program.interpret p input in
-        let v, _ = Optm.run_deterministic (Program.compile p) input in
+        let v, _ = Program.run (Program.compile p) input in
         v = reference.Program.verdict);
     Test.make ~name:"compiled beacon output = interpreter output" ~count:100
       input_gen
       (fun input ->
         let reference = Program.interpret Program.beacon input in
-        let (_, _), out =
-          Optm.run_deterministic_with_output (Program.compile Program.beacon) input
-        in
+        let (_, _), out = Program.run_with_output (Program.compile Program.beacon) input in
         out = reference.Program.output);
   ]
 
@@ -537,6 +628,7 @@ let suite =
     ("deterministic cut = BFS", `Quick, test_deterministic_cut_matches_bfs);
     ("compiled state counts", `Quick, test_compiled_states_reported);
     ("transition table = reference", `Quick, test_table_matches_reference);
+    ("stepper allocates per run", `Quick, test_run_allocates_per_run);
     ("set/add/sub semantics", `Quick, test_set_add_sub_semantics);
     ("jump_if_lt", `Quick, test_jump_if_lt);
     ("arith compiled = interpreter", `Quick, test_arith_compiled_matches_interpreter);
