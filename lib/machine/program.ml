@@ -417,17 +417,17 @@ let next_shift = 18
    that same symbol is stored as "write back what was read": in a state
    keyed on the work cell the two agree, and in a state keyed on the
    input it is what a [Read] does with whatever cell it sits on. *)
-let pack ~keyed ~work step ~next_id =
+let pack ~keyed ~work step next_id =
   let keyed = if keyed then keyed_bit else 0 in
   match step with
   | Halt_with v -> keyed lor halt_bit lor if v then accept_bit else 0
-  | Step { write; move; advance; emit; next } ->
+  | Step { write; move; advance; emit; _ } ->
       let write = if Symbol.work_equal write work then echo else work_key write in
       let move = match move with Optm.Left -> 0 | Optm.Right -> 1 | Optm.Stay -> 2 in
       let emit = match emit with None -> 0 | Some c -> Char.code c + 1 in
       keyed lor (write lsl 3) lor (move lsl 6)
       lor (if advance then advance_bit else 0)
-      lor (emit lsl 9) lor (next_id next lsl next_shift)
+      lor (emit lsl 9) lor (next_id lsl next_shift)
 
 let halt_accept = Optm.Halt true
 let halt_reject = Optm.Halt false
@@ -481,42 +481,184 @@ let check_next_states { label; num_states; chunks } =
     done
   done
 
+(* A micro-state's int key, low bits first:
+     bits 0-1    0 [At], 1 [Home], 2 [Site], 3 [Walk]
+     bits 2-3    a site's kind: 0 [S_field], 1 [S_pair_a], 2 [S_pair_b]
+     bits 4-5    a pair site's carried state (at most 1 at A, 3 at B)
+     bits 6-10   a site's bit: the field offset or pair bit (< width <= 30)
+     bit 11      a [Walk]'s direction, 1 rightward
+     bits 12-    a [Home]'s or [Walk]'s moves remaining, below the
+                 register file's cell count
+     above       the pc, from bit [pc_shift p]
+   The moves field is as wide as the cell count needs.  A program whose
+   top pc would reach the sign bit is refused before enumeration. *)
+let moves_shift = 12
+let right_bit = 1 lsl 11
+
+let rec bit_length v = if v = 0 then 0 else 1 + bit_length (v lsr 1)
+
+let pc_shift p =
+  let shift =
+    if p.registers > max_int / p.width then Sys.int_size
+    else moves_shift + bit_length ((p.registers * p.width) - 1)
+  in
+  if shift + bit_length (Array.length p.code - 1) > Sys.int_size - 1 then
+    Fmt.failwith
+      "Program %s: %d instructions over %d registers of width %d do not fit a micro-state key"
+      p.name (Array.length p.code) p.registers p.width;
+  shift
+
+let site_key ~pc_shift site =
+  let pc, bit, state, kind =
+    match site with
+    | S_field (pc, offset) -> (pc, offset, 0, 0)
+    | S_pair_a (pc, i, state) -> (pc, i, state, 1)
+    | S_pair_b (pc, i, packed) -> (pc, i, packed, 2)
+  in
+  assert (state land 3 = state);
+  (pc lsl pc_shift) lor (bit lsl 6) lor (state lsl 4) lor (kind lsl 2)
+
+let key_of ~pc_shift = function
+  | At pc -> pc lsl pc_shift
+  | Home (pc, left) -> (pc lsl pc_shift) lor (left lsl moves_shift) lor 1
+  | Site site -> site_key ~pc_shift site lor 2
+  | Walk (site, left, right) ->
+      site_key ~pc_shift site lor (left lsl moves_shift)
+      lor (if right then right_bit else 0)
+      lor 3
+
+let site_of_key ~pc key =
+  let bit = (key lsr 6) land 31 and state = (key lsr 4) land 3 in
+  match (key lsr 2) land 3 with
+  | 0 -> S_field (pc, bit)
+  | 1 -> S_pair_a (pc, bit, state)
+  | _ -> S_pair_b (pc, bit, state)
+
+let micro_of_key ~pc_shift key =
+  let pc = key lsr pc_shift in
+  let moves = (key land ((1 lsl pc_shift) - 1)) lsr moves_shift in
+  match key land 3 with
+  | 0 -> At pc
+  | 1 -> Home (pc, moves)
+  | 2 -> Site (site_of_key ~pc key)
+  | _ -> Walk (site_of_key ~pc key, moves, key land right_bit <> 0)
+
+(* Fibonacci hashing: the top bits of the key times 2^63 / phi. *)
+let golden = 0x4f1bbcdcbfa53c01
+
 let compile p =
   validate p;
+  let pc_shift = pc_shift p in
   let transition = semantics p in
-  (* Depth-first enumeration from [At 0]; ids in discovery order.  Each
-     new state's four entries are recorded as its transitions are
-     computed, so [ids] (keyed on the structured micro-states) is needed
-     only here and is dropped with them once the table is built. *)
-  let ids = Hashtbl.create 256 in
+  (* Depth-first preorder from [At 0]: a state's id is assigned when it is
+     first reached, and its entries are visited in key order 0..3, each
+     new successor's whole subtree before the next entry.  Ids are found
+     by linear probing in [slots] (an id per slot, -1 empty, at most half
+     full), comparing against [keys], the key of each id; [stack] holds
+     (key, id, next entry) per open state, decoded afresh to a micro-state
+     at every visit. *)
   let chunks = ref [||] and count = ref 0 in
-  let rec id_of micro =
-    match Hashtbl.find_opt ids micro with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        Hashtbl.add ids micro i;
-        incr count;
-        if i land (chunk_states - 1) = 0 then begin
-          let slot = i lsr chunk_bits in
-          if slot = Array.length !chunks then begin
-            let grown = Array.make (max 4 (2 * slot)) [||] in
-            Array.blit !chunks 0 grown 0 slot;
-            chunks := grown
-          end;
-          !chunks.(slot) <- Array.make (4 * chunk_states) 0
-        end;
-        let keyed = keyed_on_input p micro in
-        let chunk = !chunks.(i lsr chunk_bits) in
-        let base = entry_base i in
-        for key = 0 to 3 do
-          let input = if keyed then inputs.(key) else None in
-          let work = if keyed then Symbol.Blank else works.(key) in
-          chunk.(base + key) <- pack ~keyed ~work (transition micro ~input ~work) ~next_id:id_of
-        done;
-        i
+  let keys = ref (Array.make 64 0) in
+  let slots = ref (Array.make (1 lsl 7) (-1)) and hash_shift = ref (Sys.int_size - 7) in
+  let rec probe slots key h =
+    let id = Array.unsafe_get slots h in
+    if id < 0 || Array.unsafe_get !keys id = key then h
+    else probe slots key ((h + 1) land (Array.length slots - 1))
   in
-  ignore (id_of (At 0));
+  let first_slot key = (key * golden) lsr !hash_shift in
+  let id_of key =
+    let h = probe !slots key (first_slot key) in
+    let found = Array.unsafe_get !slots h in
+    if found >= 0 then found
+    else begin
+      let i = !count in
+      incr count;
+      if i = Array.length !keys then begin
+        let grown = Array.make (2 * i) 0 in
+        Array.blit !keys 0 grown 0 i;
+        keys := grown
+      end;
+      !keys.(i) <- key;
+      !slots.(h) <- i;
+      if 2 * !count > Array.length !slots then begin
+        slots := Array.make (2 * Array.length !slots) (-1);
+        decr hash_shift;
+        for j = 0 to i do
+          let key = !keys.(j) in
+          !slots.(probe !slots key (first_slot key)) <- j
+        done
+      end;
+      if i land (chunk_states - 1) = 0 then begin
+        let slot = i lsr chunk_bits in
+        if slot = Array.length !chunks then begin
+          let grown = Array.make (max 4 (2 * slot)) [||] in
+          Array.blit !chunks 0 grown 0 slot;
+          chunks := grown
+        end;
+        !chunks.(slot) <- Array.make (4 * chunk_states) 0
+      end;
+      i
+    end
+  in
+  let stack = ref (Array.make 48 0) and sp = ref 0 in
+  let push key id entry =
+    if !sp = Array.length !stack then begin
+      let grown = Array.make (2 * !sp) 0 in
+      Array.blit !stack 0 grown 0 !sp;
+      stack := grown
+    end;
+    let s = !stack in
+    s.(!sp) <- key;
+    s.(!sp + 1) <- id;
+    s.(!sp + 2) <- entry;
+    sp := !sp + 3
+  in
+  let start = key_of ~pc_shift (At 0) in
+  push start (id_of start) 0;
+  while !sp > 0 do
+    let top = !sp - 3 in
+    let key = !stack.(top) and id = !stack.(top + 1) in
+    let micro = micro_of_key ~pc_shift key in
+    let keyed = keyed_on_input p micro in
+    (* Only a [Read] (on the input) and a [Site] (on the work bit)
+       branch on their symbol; any other state's four entries are one
+       step, written back, so one lookup fills them all. *)
+    let uniform = match micro with Site _ -> false | At _ -> not keyed | Walk _ | Home _ -> true in
+    let chunk = !chunks.(id lsr chunk_bits) and base = entry_base id in
+    (* Fill entries from [entry] on until one steps to a new state; then
+       leave the rest for when that state's subtree is done. *)
+    let rec fill entry =
+      let input = if keyed then inputs.(entry) else None in
+      let work = if keyed then Symbol.Blank else works.(entry) in
+      let step = transition micro ~input ~work in
+      let fresh = !count in
+      let next_key, next_id =
+        match step with
+        | Halt_with _ -> (-1, -1)
+        | Step { next; _ } ->
+            let k = key_of ~pc_shift next in
+            (k, id_of k)
+      in
+      let e = pack ~keyed ~work step next_id in
+      let last = uniform || entry = 3 in
+      if uniform then Array.fill chunk base 4 e else chunk.(base + entry) <- e;
+      if next_id = fresh then begin
+        if last then begin
+          (* Nothing is left here: the new state takes this frame. *)
+          !stack.(top) <- next_key;
+          !stack.(top + 1) <- next_id;
+          !stack.(top + 2) <- 0
+        end
+        else begin
+          !stack.(top + 2) <- entry + 1;
+          push next_key next_id 0
+        end
+      end
+      else if last then sp := top
+      else fill (entry + 1)
+    in
+    fill !stack.(top + 2)
+  done;
   let c = { label = Printf.sprintf "compiled:%s" p.name; num_states = !count; chunks = !chunks } in
   check_next_states c;
   c

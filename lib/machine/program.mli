@@ -82,7 +82,22 @@ val compile : t -> compiled
     entries, not sixteen.  Every entry that does not halt is checked
     once, here, to step to a state of the table, so neither {!run} nor
     {!machine}'s [delta] checks a step's next state.
-    @raise Failure on an entry stepping outside the table. *)
+
+    Numbering: states are numbered in depth-first preorder from the
+    first instruction's state (id 0), a state's entries visited in key
+    order 0..3 and each new successor's states numbered before the next
+    entry's; {!compile_reference} numbers them the same way, so the two
+    tables agree id for id.
+
+    Limits: the enumeration keys each micro-state on one non-negative
+    int: 12 bits of kind, site, bit index, carried state and direction,
+    then the head moves left, as many bits as [registers * width - 1]
+    needs, then the pc.  A program whose
+    [12 + bits (registers * width - 1) + bits (length code - 1)] exceeds
+    [Sys.int_size - 1] (62 on 64-bit hosts) is refused before
+    enumeration, where [bits v] is the bit length of [v].
+    @raise Failure naming the program when it does not fit the key, or
+    on an entry stepping outside the table. *)
 
 val states : compiled -> int
 (** Number of control states (size measure for reports). *)

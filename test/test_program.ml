@@ -158,21 +158,33 @@ let all_inputs = [ None; Some Symbol.Zero; Some Symbol.One; Some Symbol.Hash ]
 let all_works =
   [ Symbol.Blank; Symbol.Sym Symbol.Zero; Symbol.Sym Symbol.One; Symbol.Sym Symbol.Hash ]
 
+(* The first state whose step differs between [compile p]'s table and
+   [compile_reference p], or a state-count mismatch. *)
+let table_mismatch p =
+  let fast = Program.machine (Program.compile p) and slow = Program.compile_reference p in
+  if fast.Optm.num_states <> slow.Optm.num_states then
+    Some
+      (Printf.sprintf "%d states, reference %d" fast.Optm.num_states slow.Optm.num_states)
+  else
+    let differs state =
+      List.exists
+        (fun input ->
+          List.exists
+            (fun work -> fast.Optm.delta ~state ~input ~work <> slow.Optm.delta ~state ~input ~work)
+            all_works)
+        all_inputs
+    in
+    Seq.find differs (Seq.init fast.Optm.num_states Fun.id)
+    |> Option.map (Printf.sprintf "delta differs in state %d")
+
+let check_table_matches p =
+  Option.iter (Alcotest.failf "%s: %s" p.Program.name) (table_mismatch p)
+
 let test_table_matches_reference () =
   List.iter
     (fun p ->
-      let fast = Program.machine (Program.compile p) and slow = Program.compile_reference p in
-      check_int (p.Program.name ^ " states") slow.Optm.num_states fast.Optm.num_states;
-      for state = 0 to fast.Optm.num_states - 1 do
-        List.iter
-          (fun input ->
-            List.iter
-              (fun work ->
-                if fast.Optm.delta ~state ~input ~work <> slow.Optm.delta ~state ~input ~work
-                then Alcotest.failf "%s: delta differs in state %d" p.Program.name state)
-              all_works)
-          all_inputs
-      done;
+      check_table_matches p;
+      let fast = Program.machine (Program.compile p) in
       check (p.Program.name ^ " rejects a state past the table") true
         (match
            fast.Optm.delta ~state:fast.Optm.num_states ~input:None ~work:Symbol.Blank
@@ -186,6 +198,60 @@ let test_table_matches_reference () =
       Program.fingerprint_eq ~p:17 ~t:3;
       Program.ldisj_shape ~width:7;
     ]
+
+(* The compiler keys micro-states on ints: the moves field is as wide as
+   the register file's cell count needs and the pc sits above it, below
+   the sign bit.  At width 1 and four instructions (two pc bits) a file of
+   2^48 cells just fits, and the pc reaches bit 61; one more cell or one
+   more instruction does not fit and is refused, naming the program.  No
+   step walks past register 1, so each compiles in microseconds. *)
+let limit_probe ~registers ~len =
+  let code =
+    [|
+      Program.Inc { reg = 0; next = 1 };
+      Program.Add { dst = 1; src = 0; next = 2 };
+      Program.Jump_if_lt { reg_a = 1; reg_b = 0; if_lt = 3; if_ge = len - 1 };
+    |]
+  in
+  {
+    Program.name = Printf.sprintf "limit-r%d-l%d" registers len;
+    width = 1;
+    registers;
+    code = Array.append code (Array.make (len - 3) Program.Accept);
+  }
+
+let test_key_limit () =
+  let inside = limit_probe ~registers:(1 lsl 48) ~len:4 in
+  check_table_matches inside;
+  check "inside compiles" true (Program.states (Program.compile inside) > 4);
+  List.iter
+    (fun p ->
+      match Program.compile p with
+      | _ -> Alcotest.failf "%s compiled past the key's limit" p.Program.name
+      | exception Failure msg ->
+          check (Printf.sprintf "%S names the program" msg) true
+            (String.starts_with ~prefix:("Program " ^ p.Program.name ^ ":") msg))
+    [
+      limit_probe ~registers:((1 lsl 48) + 1) ~len:4;
+      limit_probe ~registers:(1 lsl 48) ~len:5;
+      limit_probe ~registers:max_int ~len:4;
+    ]
+
+(* After a warm-up, compiling the 11,492-state A1 machine promotes little
+   besides its table (four words per state): the enumeration's index and
+   stack are flat int arrays, and the micro-state decoded at each visit
+   dies young. *)
+let test_compile_promotes_its_table () =
+  let p = Program.ldisj_shape ~width:7 in
+  ignore (Program.compile p);
+  Gc.minor ();
+  let _, before, _ = Gc.counters () in
+  let c = Program.compile p in
+  let _, after, _ = Gc.counters () in
+  let table = 4 * Program.states c in
+  let promoted = after -. before in
+  if promoted >= 2.0 *. float_of_int table then
+    Alcotest.failf "compile promoted %.0f words for a %d-word table" promoted table
 
 (* ------------------------------------------------------ arithmetic ops *)
 
@@ -569,6 +635,12 @@ let qcheck_tests =
     Test.make ~name:"table stepper = simulator on the decoded view" ~count:400
       (make ~print:show_case differential_case)
       stepper_matches_simulator;
+    Test.make ~name:"compiled table = reference on random programs" ~count:300
+      (make ~print:show_program program_gen)
+      (fun p ->
+        match table_mismatch p with
+        | None -> true
+        | Some why -> Test.fail_report why);
     Test.make ~name:"compiled random program = interpreter" ~count:300 ~max_gen:1_000
       ~if_assumptions_fail:(`Fatal, 0.5) program_and_input
       (fun (p, input) ->
@@ -629,6 +701,8 @@ let suite =
     ("compiled state counts", `Quick, test_compiled_states_reported);
     ("transition table = reference", `Quick, test_table_matches_reference);
     ("stepper allocates per run", `Quick, test_run_allocates_per_run);
+    ("micro-state key limit", `Quick, test_key_limit);
+    ("compile promotes its table", `Quick, test_compile_promotes_its_table);
     ("set/add/sub semantics", `Quick, test_set_add_sub_semantics);
     ("jump_if_lt", `Quick, test_jump_if_lt);
     ("arith compiled = interpreter", `Quick, test_arith_compiled_matches_interpreter);
