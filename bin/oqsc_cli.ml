@@ -7,13 +7,10 @@
      ne    - decide the L_NE extension language nondeterministically
      run-all - run experiments across domains and print their tables
              (--only ID for one), emit/check JSON results,
-             optionally record a Chrome trace timeline (--trace); --shard
-             I/N runs one process-level shard of the selection
+             optionally record a Chrome trace timeline (--trace)
      space-audit - fit space-scaling exponents and gate them against
              the paper's bands; --shard I/N measures one slice of the
-             k sweep (gate deferred to merge)
-     merge - recombine a complete --shard document set into bytes
-             identical to the unsharded run
+             k sweep (rows only, no fit or verdict)
      trace-lint - structurally validate an oqsc-trace document
      serve - long-lived batched experiment service (NDJSON on
              stdin/stdout, or length-prefixed frames on --socket);
@@ -208,27 +205,14 @@ let run_all_cmd =
           ~doc:
             "Record a wall-clock timeline of the run and write it to FILE (- for stdout) as Chrome trace-event JSON (kind oqsc-trace; load in Perfetto or chrome://tracing). Tracing never affects results: the --json document is byte-identical with and without it.")
   in
-  let shard =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "shard" ] ~docv:"I/N"
-          ~doc:
-            "Run only shard I of N (0-based): the selected experiments are dealt round-robin by catalogue position, so the N shards partition the run and each shard's output is byte-stable. The JSON document carries a shard provenance field; recombine a complete shard set with 'oqsc merge'.")
-  in
   let action quick seed only domains json_file timing check tolerance quiet
-      trace_file shard =
+      trace_file =
     let only =
       Option.map
         (fun s ->
           String.split_on_char ',' s |> List.map String.trim
           |> List.filter (fun id -> id <> ""))
         only
-    in
-    let shard =
-      match shard with
-      | None -> Ok None
-      | Some s -> Result.map Option.some (Experiments.Merge.parse_spec s)
     in
     if only = Some [] then
       `Error (false, "--only selected no experiments; try 'oqsc ids'")
@@ -238,30 +222,6 @@ let run_all_cmd =
     with
     | Error msg -> `Error (false, "--only: " ^ msg)
     | Ok () ->
-    match shard with
-    | Error msg -> `Error (false, "--shard: " ^ msg)
-    | Ok shard ->
-    (* The work list this process owns: the catalogue filtered by
-       --only, then dealt round-robin into N shards by position. *)
-    let selected =
-      let base =
-        match only with
-        | None -> Experiments.Registry.ids
-        | Some wanted ->
-            List.filter
-              (fun id -> List.mem id wanted)
-              Experiments.Registry.ids
-      in
-      match shard with
-      | None -> base
-      | Some spec -> Experiments.Merge.assign spec base
-    in
-    let shard_field =
-      Option.map
-        (fun (s : Experiments.Merge.spec) -> (s.index, s.count))
-        shard
-    in
-    begin
     if trace_file <> None then Obs.Trace.start ();
     (* The run and render phases land inside the trace; everything from
        the JSON emit on happens after [stop], which also means a crash
@@ -269,8 +229,7 @@ let run_all_cmd =
     let traced_run () =
       let results =
         Obs.Trace.with_span "run-all.experiments" (fun () ->
-            Experiments.Registry.results ~quick ~seed ?domains
-              ~only:selected ())
+            Experiments.Registry.results ~quick ~seed ?domains ?only ())
       in
       if not quiet then
         Obs.Trace.with_span "run-all.render" (fun () ->
@@ -303,8 +262,7 @@ let run_all_cmd =
                0.0 results)
         end;
         let doc ~timing =
-          Experiments.Json.of_results ~timing ?shard:shard_field ~seed ~quick
-            results
+          Experiments.Json.of_results ~timing ~seed ~quick results
         in
         write_json ~what:"--json" json_file (doc ~timing) (fun () ->
         match check with
@@ -330,7 +288,6 @@ let run_all_cmd =
                     (List.length drifts) tolerance path;
                   exit 1
                 end)))
-    end
   in
   Cmd.v
     (Cmd.info "run-all"
@@ -339,7 +296,7 @@ let run_all_cmd =
     Term.(
       ret
         (const action $ quick $ seed $ only $ domains $ json_file
-       $ timing $ check $ tolerance $ quiet $ trace_file $ shard))
+       $ timing $ check $ tolerance $ quiet $ trace_file))
 
 (* ---------------------------------------------------------- space-audit *)
 
@@ -369,7 +326,7 @@ let space_audit_cmd =
       & opt (some string) None
       & info [ "shard" ] ~docv:"I/N"
           ~doc:
-            "Measure only shard I of N of the k sweep (0-based, round-robin by row position; skipped rows still burn their PRNG splits so shard rows are byte-identical to the full sweep's). A shard document carries the shard provenance field and no fit/verdict — and the exit-code gate is deferred — until a complete shard set is recombined with 'oqsc merge'.")
+            "Measure only shard I of N of the k sweep (0-based, round-robin by row position; skipped rows still burn their PRNG splits so shard rows are byte-identical to the full sweep's). A shard document carries the shard provenance field and no fit/verdict, and exits 0; run unsharded for the verdict.")
   in
   let timing_table rows total =
     Printf.printf "\n== timing (wall-clock per row) ==\n";
@@ -384,14 +341,13 @@ let space_audit_cmd =
     match
       match shard with
       | None -> Ok None
-      | Some s -> Result.map Option.some (Experiments.Merge.parse_spec s)
+      | Some s -> Result.map Option.some (Experiments.Space_audit.parse_spec s)
     with
     | Error msg -> `Error (false, "--shard: " ^ msg)
-    | Ok (Some spec) ->
+    | Ok (Some shard) ->
         (* One shard of the sweep: rows only.  The fit needs the full
            row set, so the verdict (and the non-zero exit it drives)
-           belongs to the merged document, not to any single shard. *)
-        let shard = (spec.Experiments.Merge.index, spec.Experiments.Merge.count) in
+           belongs to an unsharded run, not to any single shard. *)
         let rows = Experiments.Space_audit.rows ~quick ~shard ~seed () in
         if not quiet then begin
           Experiments.Report.render_body Format.std_formatter
@@ -438,53 +394,6 @@ let space_audit_cmd =
     Term.(
       ret
         (const action $ quick $ seed $ json_file $ quiet $ timing $ shard))
-
-(* ---------------------------------------------------------------- merge *)
-
-let merge_cmd =
-  let out =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"OUT" ~doc:"Output path for the merged document, or - for stdout.")
-  in
-  let inputs =
-    Arg.(
-      non_empty
-      & pos_right 0 string []
-      & info [] ~docv:"IN"
-          ~doc:
-            "Shard documents written with --shard (any order).  Together they must form one complete, disjoint shard set from a single run configuration.")
-  in
-  let action out inputs =
-    let read_doc path =
-      match In_channel.with_open_text path In_channel.input_all with
-      | exception Sys_error msg -> Error msg
-      | raw -> (
-          match Experiments.Json.parse raw with
-          | Ok doc -> Ok (path, doc)
-          | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
-    in
-    let rec read_all acc = function
-      | [] -> Ok (List.rev acc)
-      | path :: rest -> (
-          match read_doc path with
-          | Ok entry -> read_all (entry :: acc) rest
-          | Error msg -> Error msg)
-    in
-    match read_all [] inputs with
-    | Error msg -> `Error (false, "merge: " ^ msg)
-    | Ok docs -> (
-        match Experiments.Merge.merge docs with
-        | Error msg -> `Error (false, "merge: " ^ msg)
-        | Ok merged ->
-            write_json ~what:"merge" (Some out) merged (fun () -> `Ok ()))
-  in
-  Cmd.v
-    (Cmd.info "merge"
-       ~doc:
-         "Recombine a complete set of --shard JSON documents into one document byte-identical to the corresponding unsharded run (the shard provenance field is validated, then dropped; a sharded space-audit's fit and verdict are recomputed from the merged rows).")
-    Term.(ret (const action $ out $ inputs))
 
 (* ----------------------------------------------------------- trace-lint *)
 
@@ -871,6 +780,6 @@ let ids_cmd =
 let main =
   let doc = "quantum vs classical online space complexity (Le Gall, SPAA 2006) — reproduction" in
   Cmd.group (Cmd.info "oqsc" ~version:"1.0.0" ~doc)
-    [ gen_cmd; run_cmd; run_all_cmd; space_audit_cmd; merge_cmd; trace_lint_cmd; log_lint_cmd; ne_cmd; serve_cmd; bench_serve_cmd; ids_cmd ]
+    [ gen_cmd; run_cmd; run_all_cmd; space_audit_cmd; trace_lint_cmd; log_lint_cmd; ne_cmd; serve_cmd; bench_serve_cmd; ids_cmd ]
 
 let () = exit (Cmd.eval main)

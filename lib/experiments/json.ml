@@ -526,24 +526,15 @@ let of_result ?(timing = false) (r : Report.t) =
      snapshot).  Version-1 baselines fail --check on both the version
      bump and the missing "resources" keys; re-record them with
      `run-all --json` to migrate.
-   - version 2 also admits an optional "shard" envelope object
-     ({"index": i, "of": n}), present exactly when the run was sharded
-     (`--shard i/n`).  It is gated like any other key when present;
-     unsharded documents are unchanged, so no version bump and no
-     baseline migration.  `oqsc merge` validates and drops it. *)
-let of_results ?timing ?shard ~seed ~quick results =
-  let shard_field =
-    match shard with
-    | None -> []
-    | Some (index, count) ->
-        [ ("shard", Obj [ ("index", Int index); ("of", Int count) ]) ]
-  in
+   - a version-2 baseline written by the removed `run-all --shard`
+     carries a top-level "shard" object, which --check reports as
+     drift against any current run. *)
+let of_results ?timing ~seed ~quick results =
   Obj
-    ([
-       ("kind", Str "oqsc-experiments");
-       ("version", Int 2);
-       ("seed", Int seed);
-       ("quick", Bool quick);
-       ("experiments", List (List.map (of_result ?timing) results));
-     ]
-    @ shard_field)
+    [
+      ("kind", Str "oqsc-experiments");
+      ("version", Int 2);
+      ("seed", Int seed);
+      ("quick", Bool quick);
+      ("experiments", List (List.map (of_result ?timing) results));
+    ]

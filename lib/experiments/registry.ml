@@ -64,7 +64,7 @@ let description id =
   let _, d, _ = find id in
   d
 
-(* The CLI's front line for --only/--shard selections: unlike [find]'s
+(* The CLI's front line for --only selections: unlike [find]'s
    bare [Not_found], the message names every offending id and lists the
    valid ones, so a typo in a CI matrix fails with its fix attached. *)
 let validate_only wanted =

@@ -16,7 +16,7 @@ val description : string -> string
 val validate_only : string list -> (unit, string) result
 (** [Ok ()] when every id is in the catalogue; otherwise an error
     message naming the unknown id(s) and listing the valid ones — what
-    the CLI prints before exiting non-zero on a bad [--only]/[--shard]
+    the CLI prints before exiting non-zero on a bad [--only]
     selection. *)
 
 val result : ?quick:bool -> ?seed:int -> string -> Report.t

@@ -36,6 +36,32 @@ let default_classical_band = (0.28, 0.40)
 
 let quantum_cap quick = if quick then 4 else 6
 
+let spec_format =
+  "expected I/N with integers 0 <= I < N (shard I of N shards, e.g. 0/3)"
+
+let parse_spec s =
+  let malformed () =
+    Error (Printf.sprintf "malformed shard spec %S: %s" s spec_format)
+  in
+  match String.index_opt s '/' with
+  | None -> malformed ()
+  | Some cut -> (
+      let index_txt = String.sub s 0 cut in
+      let count_txt = String.sub s (cut + 1) (String.length s - cut - 1) in
+      match (int_of_string_opt index_txt, int_of_string_opt count_txt) with
+      | Some index, Some count ->
+          if count < 1 then
+            Error
+              (Printf.sprintf "invalid shard count in %S: N must be >= 1 (%s)"
+                 s spec_format)
+          else if index < 0 || index >= count then
+            Error
+              (Printf.sprintf
+                 "shard index out of range in %S: need 0 <= I < %d (%s)" s
+                 count spec_format)
+          else Ok (index, count)
+      | _ -> malformed ())
+
 (* Per-row wall-clock is measured unconditionally (two gettimeofday
    calls per k are noise) but serialized only on request: like the
    experiments document's wall_ms it is telemetry, never gated, and
@@ -46,7 +72,8 @@ let quantum_cap quick = if quick then 4 else 6
    splits of one stream, so a skipped row must still burn exactly the
    splits it would have consumed — that keeps every measured row
    byte-identical to the same row of the full sweep, which is what
-   lets [oqsc merge] reassemble an unsharded document. *)
+   lets serve's [sweep] op and the full-size golden pins measure one
+   shard alone. *)
 let rows ?(quick = false) ?shard ~seed () =
   let rng = Rng.create seed in
   let ks = if quick then [ 1; 2; 3; 4; 5 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
@@ -178,16 +205,14 @@ let rows_table rows =
        rows)
 
 (* A shard of the sweep has too few points to fit honestly, so its body
-   is the measured rows alone; fit and verdict appear after the shards
-   are recombined with [oqsc merge]. *)
+   is the measured rows alone; fit and verdict need the unsharded run. *)
 let shard_body ~shard:(index, count) rows =
   {
     Report.tables = [ rows_table rows ];
     notes =
       [
         Printf.sprintf
-          "shard %d/%d of the k sweep; fit and verdict are computed from the \
-           merged document (oqsc merge)"
+          "shard %d/%d of the k sweep; run unsharded for the fit and verdict"
           index count;
       ];
     metrics = [];
@@ -256,8 +281,7 @@ let envelope ~seed ~quick =
 let sum_wall_ms rows = List.fold_left (fun acc r -> acc +. r.wall_ms) 0.0 rows
 
 (* A shard document: the envelope, its rows, and the shard provenance
-   field — no fit or verdict, which only make sense on the full sweep
-   (the merge recomputes them from the recombined rows). *)
+   field — no fit or verdict, which only make sense on the full sweep. *)
 let shard_to_json ?(timing = false) ~shard:(index, count) ~seed ~quick rows =
   Json.Obj
     (envelope ~seed ~quick

@@ -54,18 +54,24 @@ val quantum_cap : bool -> int
 (** Largest [k] whose recognizer is dense-simulated ([4] quick, [6]
     full; [2k + 2] qubits). *)
 
+val parse_spec : string -> (int * int, string) result
+(** Parses a [--shard] spec ["I/N"] into [(I, N)], the [shard] argument
+    of {!rows}.  Rejects — with a message spelling out the expected
+    format — anything non-numeric, [N = 0] (or negative), and indices
+    outside [0 <= I < N]. *)
+
 val rows : ?quick:bool -> ?shard:int * int -> seed:int -> unit -> row list
 (** [k] in [1..5] (quick) or [1..8] (full), one instance per [k].
     [shard = (i, n)] measures only the rows at positions [j mod n = i]
     of the sweep; skipped rows still burn the PRNG splits they would
     have consumed, so every returned row is byte-identical to the same
-    row of the full sweep (the property [oqsc merge] relies on). *)
+    row of the full sweep (what serve's [sweep] op and the full-size
+    golden pins rely on). *)
 
 val of_rows : ?classical_band:float * float -> row list -> audit
-(** Fits and judges an already-measured row set — the merge tool's path
-    to recomputing [fit]/[verdict] over recombined shard rows.  Needs
-    at least two classical and two quantum points (the full sweep
-    always has them). *)
+(** Fits and judges an already-measured row set ({!audit} is
+    [of_rows] over {!rows}).  Needs at least two classical and two
+    quantum points (the full sweep always has them). *)
 
 val audit :
   ?quick:bool -> ?classical_band:float * float -> seed:int -> unit -> audit
@@ -78,7 +84,8 @@ val body : audit -> Report.body
 
 val shard_body : shard:int * int -> row list -> Report.body
 (** The rows table alone (a shard has too few points to fit honestly),
-    with a note naming the shard and pointing at [oqsc merge]. *)
+    with a note naming the shard and saying to run unsharded for the
+    fit and verdict. *)
 
 val total_wall_ms : audit -> float
 (** Sum of the per-row wall-clocks. *)
@@ -94,5 +101,4 @@ val shard_to_json :
   ?timing:bool -> shard:int * int -> seed:int -> quick:bool -> row list -> Json.t
 (** A shard document: the same envelope and rows serialization as
     {!to_json} plus the gated [shard] provenance field, and no
-    [fit]/[verdict] (recomputed by [oqsc merge] over the recombined
-    rows — see docs/SCHEMA.md). *)
+    [fit]/[verdict] (see docs/SCHEMA.md). *)

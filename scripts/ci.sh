@@ -15,7 +15,7 @@ set -eu
 # the dispatch whitelist derive from it, so adding a stage in one place
 # cannot silently drift from the other (the build stage smoke-tests
 # this by running an unknown stage name).
-stages="build docs tests smoke trace shard serve serve-soak audit"
+stages="build docs tests smoke trace serve serve-soak audit"
 
 usage() { echo "usage: scripts/ci.sh [$(echo "$stages" | tr ' ' '|')]"; }
 
@@ -145,6 +145,27 @@ if want smoke; then
   # register_machine prints a compiled state count and a control-state
   # id, so a drift in the compiler's state numbering shows here.
   diff -u examples/register_machine.expected "$tmp/example_register_machine.out"
+
+  # Malformed selections and out-of-range arguments must fail with a
+  # usable message and cmdliner's usage-error status 124, never 125 (an
+  # uncaught exception). A failing command caught by '||' never trips
+  # set -e, so each check fails the stage explicitly. The loop reads
+  # /dev/null, so a bad input character comes from a file.
+  printf '01x\n' > "$tmp/bad_symbol.txt"
+  for args in "space-audit --quick --quiet --shard 3/3" \
+    "space-audit --quick --quiet --shard 0/0" "space-audit --quick --quiet --shard x/3" \
+    "run-all --quick --quiet --only e99" "gen -k 0" \
+    "gen -k 1 --kind intersect -t 9" "run --algo subsample --budget 0" \
+    "run --input $tmp/missing.txt" "ne --input $tmp/missing.txt" \
+    "ne --input $tmp/bad_symbol.txt"; do
+    rc=0
+    # $args is unquoted on purpose: it splits into a command and its options.
+    dune exec bin/oqsc_cli.exe -- $args </dev/null >/dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 124 ]; then
+      echo "oqsc $args exited $rc, not 124" >&2
+      exit 1
+    fi
+  done
 fi
 
 if want trace; then
@@ -165,78 +186,6 @@ if want trace; then
     --trace "$tmp/e3_trace_d2.json" --json "$tmp/e3_traced_d2.json"
   cmp "$tmp/e3.json" "$tmp/e3_traced_d2.json"
   dune exec bin/oqsc_cli.exe -- trace-lint "$tmp/e3_trace_d2.json"
-fi
-
-if want shard; then
-  echo "== shard + merge smoke =="
-  # Three process-level shards of the quick run, merged back, must be
-  # byte-identical to the unsharded document: the merge tool validates
-  # the shard provenance fields, drops them, and reassembles the
-  # experiment list in catalogue order.
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --json "$tmp/shard_full.json"
-  for i in 0 1 2; do
-    dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-      --shard "$i/3" --json "$tmp/shard_$i.json"
-  done
-  # Merge order must not matter.
-  dune exec bin/oqsc_cli.exe -- merge "$tmp/shard_merged.json" \
-    "$tmp/shard_2.json" "$tmp/shard_0.json" "$tmp/shard_1.json"
-  cmp "$tmp/shard_full.json" "$tmp/shard_merged.json"
-
-  # The space-audit k sweep shards the same way; the merged document
-  # recomputes fit/verdict from the recombined rows and must match the
-  # unsharded audit byte for byte.
-  dune exec bin/oqsc_cli.exe -- space-audit --quick --quiet --json "$tmp/sa_full.json"
-  dune exec bin/oqsc_cli.exe -- space-audit --quick --quiet \
-    --shard 0/2 --json "$tmp/sa_0.json"
-  dune exec bin/oqsc_cli.exe -- space-audit --quick --quiet \
-    --shard 1/2 --json "$tmp/sa_1.json"
-  dune exec bin/oqsc_cli.exe -- merge "$tmp/sa_merged.json" \
-    "$tmp/sa_1.json" "$tmp/sa_0.json"
-  cmp "$tmp/sa_full.json" "$tmp/sa_merged.json"
-
-  # Malformed selections and out-of-range arguments must fail with a
-  # usable message and cmdliner's usage-error status 124, never 125 (an
-  # uncaught exception). A failing command caught by '||' never trips
-  # set -e, so each check fails the stage explicitly. The loop reads
-  # /dev/null, so a bad input character comes from a file.
-  printf '01x\n' > "$tmp/bad_symbol.txt"
-  for args in "run-all --quick --quiet --shard 3/3" \
-    "run-all --quick --quiet --shard 0/0" "run-all --quick --quiet --shard x/3" \
-    "run-all --quick --quiet --only e99" "gen -k 0" \
-    "gen -k 1 --kind intersect -t 9" "run --algo subsample --budget 0" \
-    "run --input $tmp/missing.txt" "ne --input $tmp/missing.txt" \
-    "ne --input $tmp/bad_symbol.txt"; do
-    rc=0
-    # $args is unquoted on purpose: it splits into a command and its options.
-    dune exec bin/oqsc_cli.exe -- $args </dev/null >/dev/null 2>&1 || rc=$?
-    if [ "$rc" -ne 124 ]; then
-      echo "oqsc $args exited $rc, not 124" >&2
-      exit 1
-    fi
-  done
-  # ... and so must an incomplete or duplicated shard set.
-  if dune exec bin/oqsc_cli.exe -- merge "$tmp/bad.json" \
-    "$tmp/shard_0.json" "$tmp/shard_1.json" 2>/dev/null; then
-    echo "merge accepted an incomplete shard set" >&2
-    exit 1
-  fi
-  if dune exec bin/oqsc_cli.exe -- merge "$tmp/bad.json" \
-    "$tmp/shard_0.json" "$tmp/shard_0.json" "$tmp/shard_1.json" "$tmp/shard_2.json" \
-    2>/dev/null; then
-    echo "merge accepted a duplicated shard" >&2
-    exit 1
-  fi
-  # ... and so must a retyped envelope field, naming it.
-  sed 's/"seed": \([0-9]*\)/"seed": "\1"/' "$tmp/shard_0.json" > "$tmp/shard_0_seed.json"
-  grep -q '"seed": "[0-9]*"' "$tmp/shard_0_seed.json"
-  if dune exec bin/oqsc_cli.exe -- merge "$tmp/bad.json" \
-    "$tmp/shard_0_seed.json" "$tmp/shard_1.json" "$tmp/shard_2.json" \
-    2> "$tmp/merge_seed.err"; then
-    echo "merge accepted a string seed" >&2
-    exit 1
-  fi
-  grep -q 'seed' "$tmp/merge_seed.err"
 fi
 
 if want serve; then

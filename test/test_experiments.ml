@@ -229,10 +229,77 @@ let test_space_audit () =
   let b = Experiments.Space_audit.audit ~quick:true ~seed () in
   Alcotest.(check string) "audit JSON byte-stable" (doc a) (doc b)
 
+(* ------------------------------------------------ space-audit shards *)
+
+module Space_audit = Experiments.Space_audit
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
+
+let test_parse_valid () =
+  List.iter
+    (fun (spec, expected) ->
+      check (spec ^ " parses") true (Space_audit.parse_spec spec = Ok expected))
+    [ ("0/3", (0, 3)); ("2/3", (2, 3)); ("0/1", (0, 1)) ]
+
+let test_parse_invalid () =
+  let rejected ~mentions s =
+    match Space_audit.parse_spec s with
+    | Ok _ -> Alcotest.failf "%S should not parse" s
+    | Error msg ->
+        check (Printf.sprintf "%S error mentions %S" s mentions) true
+          (contains msg mentions);
+        check (Printf.sprintf "%S error shows the format" s) true
+          (contains msg "I/N")
+  in
+  rejected ~mentions:"out of range" "3/3";
+  rejected ~mentions:"out of range" "5/2";
+  rejected ~mentions:"out of range" "-1/3";
+  rejected ~mentions:"N must be >= 1" "0/0";
+  rejected ~mentions:"N must be >= 1" "0/-2";
+  rejected ~mentions:"malformed" "a/3";
+  rejected ~mentions:"malformed" "1/b";
+  rejected ~mentions:"malformed" "1";
+  rejected ~mentions:"malformed" "";
+  rejected ~mentions:"malformed" "1/2/3"
+
+let test_audit_shard_rows_match_full_sweep () =
+  let strip (r : Space_audit.row) = { r with Space_audit.wall_ms = 0.0 } in
+  let full = List.map strip (Space_audit.rows ~quick:true ~seed ()) in
+  let recombined =
+    List.concat_map
+      (fun index ->
+        List.map strip (Space_audit.rows ~quick:true ~shard:(index, 2) ~seed ()))
+      [ 0; 1 ]
+    |> List.sort (fun (a : Space_audit.row) b ->
+           compare a.Space_audit.k b.Space_audit.k)
+  in
+  (* Skipped rows burn their PRNG splits, so measured rows are the very
+     rows the full sweep produces — what serve's sweep op relies on. *)
+  check "sharded rows = full-sweep rows" true (full = recombined)
+
+let test_audit_shard_doc_has_no_verdict () =
+  match
+    Space_audit.shard_to_json ~shard:(0, 2) ~seed ~quick:true
+      (Space_audit.rows ~quick:true ~shard:(0, 2) ~seed ())
+  with
+  | Experiments.Json.Obj fields ->
+      check "no fit in a shard document" true (List.assoc_opt "fit" fields = None);
+      check "no verdict in a shard document" true
+        (List.assoc_opt "verdict" fields = None);
+      check "shard field present" true (List.assoc_opt "shard" fields <> None)
+  | _ -> Alcotest.fail "document must be an object"
+
 let suite =
   [
     ("registry complete", `Quick, test_registry_complete);
     ("space audit bands", `Slow, test_space_audit);
+    ("parse_spec accepts I/N", `Quick, test_parse_valid);
+    ("parse_spec rejects malformed specs", `Quick, test_parse_invalid);
+    ("audit shard rows match the full sweep", `Quick, test_audit_shard_rows_match_full_sweep);
+    ("audit shard documents defer the verdict", `Quick, test_audit_shard_doc_has_no_verdict);
     ("registry runs all (quick)", `Slow, test_registry_runs_all_quick);
     ("e1 shape", `Slow, test_e1_shape);
     ("e2 certificates", `Quick, test_e2_certificates);

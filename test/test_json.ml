@@ -263,9 +263,7 @@ let prop_roundtrip =
 
 module Protocol = Serve.Protocol
 
-(* A shard seed is one document of a complete set: the mutated copy
-   replaces the [i]th member and the whole set goes to the merge. *)
-type target = Request | Reply | Shard of (string * Json.t) list * int | Log | Trace
+type target = Request | Reply | Log | Trace
 
 let fuzz_seeds =
   lazy
@@ -287,23 +285,6 @@ let fuzz_seeds =
          mix
        @ Serve.Server.finish server
      in
-     let seed = 2006 in
-     let experiments =
-       List.init 2 (fun index ->
-           ( Printf.sprintf "exp_%d.json" index,
-             Json.of_results ~shard:(index, 2) ~seed ~quick:true
-               (Registry.results ~quick:true ~seed
-                  ~only:(Merge.assign { Merge.index; count = 2 } [ "e2"; "e13" ])
-                  ()) ))
-     in
-     let audit =
-       List.init 2 (fun index ->
-           ( Printf.sprintf "sa_%d.json" index,
-             Space_audit.shard_to_json ~timing:true ~shard:(index, 2) ~seed
-               ~quick:true
-               (Space_audit.rows ~quick:true ~shard:(index, 2) ~seed ()) ))
-     in
-     let shard_seeds set = List.mapi (fun i (_, doc) -> (Shard (set, i), doc)) set in
      let trace =
        let module T = Obs.Trace in
        T.start ();
@@ -317,7 +298,6 @@ let fuzz_seeds =
      in
      List.map (fun l -> (Request, parsed l)) mix
      @ List.map (fun r -> (Reply, Protocol.reply_to_json r)) replies
-     @ shard_seeds experiments @ shard_seeds audit
      @ [
          ( Log,
            parsed
@@ -334,10 +314,6 @@ let decode target doc =
       |> Result.map ignore
       |> Result.map_error (fun e -> e.Protocol.message)
   | Reply -> Result.map ignore (Protocol.reply_of_json doc)
-  | Shard (set, i) ->
-      Result.map ignore
-        (Merge.merge
-           (List.mapi (fun j (label, d) -> (label, if i = j then doc else d)) set))
   | Log -> joined (Result.map ignore (Serve.Reqlog.lint [ Json.to_line doc ]))
   | Trace -> joined (Result.map ignore (Chrome_trace.lint doc))
 

@@ -25,7 +25,6 @@ let () =
       ("json", Test_json.suite);
       ("runner", Test_runner.suite);
       ("tune", Test_tune.suite);
-      ("merge", Test_merge.suite);
       ("integration", Test_integration.suite);
       ("serve", Test_serve.suite);
       ("edges", Test_edges.suite);

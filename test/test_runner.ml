@@ -100,10 +100,52 @@ let test_timing_flag_checks_cleanly () =
   Alcotest.(check (list string)) "wall_ms never compared" []
     (Json.diff ~tolerance:0.0 with_timing without)
 
+let test_validate_only () =
+  check "all valid ids pass" true (Registry.validate_only Registry.ids = Ok ());
+  check "empty selection passes validation" true (Registry.validate_only [] = Ok ());
+  match Registry.validate_only [ "e2"; "e99"; "nope" ] with
+  | Ok () -> Alcotest.fail "unknown ids must be rejected"
+  | Error msg ->
+      let mentions sub =
+        let nh = String.length msg and nn = String.length sub in
+        let rec at i = i + nn <= nh && (String.sub msg i nn = sub || at (i + 1)) in
+        at 0
+      in
+      check "names every offender" true (mentions "e99" && mentions "nope");
+      check "lists the catalogue" true (mentions "valid ids" && mentions "e15")
+
+(* An experiment's bytes do not depend on what else ran: each entry of
+   the full quick document equals the one entry of that id's
+   single-experiment document (what serve's run op and the golden
+   --only pins emit). *)
+let test_selection_independent () =
+  let seed = 2006 in
+  let entries doc =
+    match doc with
+    | Json.Obj fields -> (
+        match List.assoc_opt "experiments" fields with
+        | Some (Json.List entries) -> List.map Json.to_string entries
+        | _ -> Alcotest.fail "document has no experiments list")
+    | _ -> Alcotest.fail "document must be an object"
+  in
+  let full =
+    entries (Json.of_results ~seed ~quick:true (Registry.results ~quick:true ~seed ()))
+  in
+  Alcotest.(check int) "one entry per id" (List.length Registry.ids) (List.length full);
+  List.iter2
+    (fun id entry ->
+      Alcotest.(check (list string))
+        (id ^ " entry = its single-id document's entry")
+        [ entry ]
+        (entries (Registry.document ~quick:true ~seed id)))
+    Registry.ids full
+
 let suite =
   [
     ("--only preserves catalogue order", `Quick, test_only_order);
     ("--only rejects unknown ids", `Quick, test_only_unknown);
+    ("validate_only names offenders", `Quick, test_validate_only);
+    ("entry bytes independent of the selection", `Quick, test_selection_independent);
     ("json deterministic across runs", `Quick, test_json_deterministic);
     ("parallel = sequential bytes", `Quick, test_parallel_equals_sequential);
     ("result shapes", `Quick, test_results_shape);
